@@ -6,131 +6,17 @@ cross-surface consistency. Each produces a normalized score against a
 configurable threshold; the report's gate verdict drives a CI exit code.
 """
 
-from .cascade import CascadeResult, InsufficientTraceError, evaluate_cascade
-from .consistency import (
-    ConsistencyResult,
-    EmbeddingProvider,
-    HashEmbeddingProvider,
-    agreement_rate,
-    consistency_score,
-)
-from .distribution import DistributionSnapshot, DistributionWindow, snapshot
-from .evaluator import StreamDiagnostics, aggregate, evaluate_records, evaluate_stream
-from .explanation import (
-    ExplanationResult,
-    ModelProbe,
-    ProbeContext,
-    attribution_consistency,
-    decoupling_flag,
-    evaluate_explanation,
-    perturbation_impacts,
-)
-from .model import (
-    AttributionCase,
-    Dimension,
-    EvalConfig,
-    EvalReport,
-    EvaluationError,
-    MetricResult,
-    OutputEvent,
-    RequestPair,
-    StepResult,
-    ToolCallRecord,
-    ToolCallState,
-    TraceParseError,
-    TraceRecord,
-    ValidationError,
-    parse_trace_record,
-    serialize_trace_record,
-)
-from .reliability import (
-    ReliabilityResult,
-    detect_silent_degradation,
-    evaluate_reliability,
-    latency_quality_correlation,
-    partial_response_rate,
-    tool_reliability_score,
-)
-from .simulate import (
-    Fm2Scenario,
-    Fm5Case,
-    LinearProbe,
-    ScenarioSpec,
-    generate,
-    generate_fm1,
-    generate_fm2,
-    generate_fm3,
-    generate_fm5,
-    reference_probe,
-)
-from .stats import (
-    UndefinedStatisticError,
-    cosine_similarity,
-    normalized_entropy,
-    pearson,
-    spearman,
-)
+from .consistency import HashEmbeddingProvider
+from .evaluator import evaluate_stream
+from .explanation import ProbeContext
+from .model import EvalConfig, EvaluationError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributionCase",
-    "CascadeResult",
-    "ConsistencyResult",
-    "Dimension",
-    "DistributionSnapshot",
-    "DistributionWindow",
-    "EmbeddingProvider",
     "EvalConfig",
-    "EvalReport",
     "EvaluationError",
-    "ExplanationResult",
-    "Fm2Scenario",
-    "Fm5Case",
     "HashEmbeddingProvider",
-    "InsufficientTraceError",
-    "LinearProbe",
-    "MetricResult",
-    "ModelProbe",
-    "OutputEvent",
     "ProbeContext",
-    "ReliabilityResult",
-    "RequestPair",
-    "ScenarioSpec",
-    "StepResult",
-    "StreamDiagnostics",
-    "ToolCallRecord",
-    "ToolCallState",
-    "TraceParseError",
-    "TraceRecord",
-    "UndefinedStatisticError",
-    "ValidationError",
-    "agreement_rate",
-    "aggregate",
-    "attribution_consistency",
-    "consistency_score",
-    "cosine_similarity",
-    "decoupling_flag",
-    "detect_silent_degradation",
-    "evaluate_cascade",
-    "evaluate_explanation",
-    "evaluate_records",
-    "evaluate_reliability",
     "evaluate_stream",
-    "generate",
-    "generate_fm1",
-    "generate_fm2",
-    "generate_fm3",
-    "generate_fm5",
-    "latency_quality_correlation",
-    "normalized_entropy",
-    "parse_trace_record",
-    "partial_response_rate",
-    "pearson",
-    "perturbation_impacts",
-    "reference_probe",
-    "serialize_trace_record",
-    "snapshot",
-    "spearman",
-    "tool_reliability_score",
 ]

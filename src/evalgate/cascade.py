@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .model import EvalConfig, StepResult, ValidationError
+from .model import EvalConfig, StepResult
 
 
 class InsufficientTraceError(ValueError):
@@ -29,42 +29,28 @@ class CascadeResult:
     propagation_failure: bool
     failure_index: int | None
     step_confidences: tuple[float, ...]
-    internal_external_divergence: float | None = None
 
     def metadata(self) -> dict[str, Any]:
-        meta: dict[str, Any] = {
+        return {
             "mean_confidence": self.mean_confidence,
             "cis": self.cis,
             "failure_index": self.failure_index,
             "step_confidences": list(self.step_confidences),
         }
-        if self.internal_external_divergence is not None:
-            meta["internal_external_divergence"] = self.internal_external_divergence
-        return meta
 
 
-def evaluate_cascade(
-    steps: Sequence[StepResult],
-    config: EvalConfig,
-    ground_truth_correctness: float | None = None,
-) -> CascadeResult:
+def evaluate_cascade(steps: Sequence[StepResult], config: EvalConfig) -> CascadeResult:
     """Score one pipeline trace.
 
     score = mean_confidence - lambda * CIS when a propagation failure exists,
     else mean_confidence; the reported score is clamped to [0, 1] and the
     unclamped value is kept in raw_score. With no failure, CIS is defined
     as 0 so a healthy pipeline scores its mean confidence.
-
-    When an external ground-truth correctness is supplied, the result carries
-    CIS - ground_truth as ``internal_external_divergence``.
     """
     n = len(steps)
     if n < 2:
         raise InsufficientTraceError(f"cascade evaluation needs >= 2 steps, got {n}")
     confidences = tuple(step.confidence for step in steps)
-    for c in confidences:
-        if not 0.0 <= c <= 1.0:
-            raise ValidationError(f"step confidence out of range: {c}")
 
     mean_confidence = math.fsum(confidences) / n
     failure_index: int | None = None
@@ -81,10 +67,6 @@ def evaluate_cascade(
         cis = math.fsum(downstream) / len(downstream)
         raw_score = mean_confidence - config.lambda_ * cis
 
-    divergence = None
-    if ground_truth_correctness is not None:
-        divergence = cis - ground_truth_correctness
-
     return CascadeResult(
         mean_confidence=mean_confidence,
         cis=cis,
@@ -93,5 +75,4 @@ def evaluate_cascade(
         propagation_failure=failure_index is not None,
         failure_index=failure_index,
         step_confidences=confidences,
-        internal_external_divergence=divergence,
     )

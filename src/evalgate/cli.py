@@ -14,12 +14,13 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
 from .evaluator import StreamDiagnostics, evaluate_stream
 from .explanation import ProbeContext
-from .model import DIMENSION_KEYS, EvalConfig, EvalReport, EvaluationError, ValidationError, serialize_trace_record
+from .model import EvalConfig, EvalReport, EvaluationError, ValidationError, serialize_trace_record
 from .simulate import (
     FM5_BASELINE_VALUES,
     FM5_ORIGINAL_VALUES,
@@ -33,15 +34,6 @@ from .simulate import (
 EXIT_PASS = 0
 EXIT_GATE_FAILED = 1
 EXIT_ERROR = 2
-
-_CONFIG_KEY_MAP = {"lambda": "lambda_"}
-_SCALAR_KEYS = {
-    "tau_u", "lambda", "alpha", "beta", "gamma", "theta_acs", "delta_min",
-    "theta_ar", "theta_prr", "acc_stability_band",
-}
-_INT_KEYS = {"k_top", "window_size"}
-_BOOL_KEYS = {"acc_delta_cumulative"}
-_MAP_KEYS = {"dimension_thresholds", "aggregate_weights"}
 
 
 class ConfigError(ValueError):
@@ -65,31 +57,12 @@ def load_config(path: str | Path | None) -> EvalConfig:
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
 
-    kwargs: dict[str, Any] = {}
-    for key, value in payload.items():
-        if key in _SCALAR_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number")
-            kwargs[_CONFIG_KEY_MAP.get(key, key)] = float(value)
-        elif key in _INT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {key!r} must be an integer")
-            kwargs[key] = value
-        elif key in _BOOL_KEYS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be a boolean")
-            kwargs[key] = value
-        elif key in _MAP_KEYS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            defaults = {k: 0.6 for k in DIMENSION_KEYS} if key == "dimension_thresholds" \
-                else {k: 1.0 for k in DIMENSION_KEYS}
-            defaults.update(value)
-            kwargs[key] = defaults
-        else:
+    known = {f.name.rstrip("_"): f.name for f in fields(EvalConfig)}
+    for key in payload:
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
     try:
-        return EvalConfig(**kwargs)
+        return EvalConfig(**{known[key]: value for key, value in payload.items()})
     except ValidationError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -156,7 +129,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     try:
         report, diagnostics = evaluate_stream(lines, config, probe_context=probe_context)
-    except EvaluationError as exc:
+    except (EvaluationError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

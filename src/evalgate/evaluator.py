@@ -24,6 +24,7 @@ from .consistency import EmbeddingProvider, HashEmbeddingProvider, consistency_s
 from .distribution import DistributionSnapshot, DistributionWindow, snapshot
 from .explanation import ProbeContext, evaluate_explanation
 from .model import (
+    RECORD_TYPES,
     AttributionCase,
     Dimension,
     EvalConfig,
@@ -209,29 +210,18 @@ def evaluate_records(
     diagnostics = diagnostics if diagnostics is not None else StreamDiagnostics()
     provider = embedding_provider or HashEmbeddingProvider()
 
-    steps: list[StepResult] = []
-    calls: list[ToolCallRecord] = []
-    events: list[OutputEvent] = []
-    cases: list[AttributionCase] = []
-    pairs: list[RequestPair] = []
+    by_type: dict[type, list[Any]] = {cls: [] for cls in RECORD_TYPES.values()}
     for record in records:
-        if isinstance(record, StepResult):
-            steps.append(record)
-        elif isinstance(record, ToolCallRecord):
-            calls.append(record)
-        elif isinstance(record, OutputEvent):
-            events.append(record)
-        elif isinstance(record, AttributionCase):
-            cases.append(record)
-        else:
-            pairs.append(record)
-    diagnostics.record_counts = {
-        "step": len(steps),
-        "tool_call": len(calls),
-        "output": len(events),
-        "attribution": len(cases),
-        "request_pair": len(pairs),
-    }
+        bucket = by_type.get(type(record))
+        if bucket is None:
+            raise TypeError(f"not a trace record: {type(record).__name__}")
+        bucket.append(record)
+    diagnostics.record_counts = {name: len(by_type[cls]) for name, cls in RECORD_TYPES.items()}
+    steps: list[StepResult] = by_type[StepResult]
+    calls: list[ToolCallRecord] = by_type[ToolCallRecord]
+    events: list[OutputEvent] = by_type[OutputEvent]
+    cases: list[AttributionCase] = by_type[AttributionCase]
+    pairs: list[RequestPair] = by_type[RequestPair]
 
     per_dimension: dict[Dimension, MetricResult] = {}
     total_start = time.perf_counter()

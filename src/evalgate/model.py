@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Union
 
 
@@ -90,10 +91,14 @@ class ToolCallRecord:
     timestamp: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "state", ToolCallState(self.state))
+        except ValueError:
+            raise ValidationError(
+                f"state must be one of {[s.value for s in ToolCallState]}, got {self.state!r}"
+            ) from None
         if not isinstance(self.tool_name, str):
             raise ValidationError("tool_name must be a string")
-        if not isinstance(self.state, ToolCallState):
-            raise ValidationError(f"state must be one of {[s.value for s in ToolCallState]}")
         latency = _require_real("latency_ms", self.latency_ms)
         if latency < 0:
             raise ValidationError(f"latency_ms must be >= 0, got {latency}")
@@ -133,6 +138,9 @@ class AttributionCase:
     decision_value: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.feature_names, (list, tuple)) or \
+                not isinstance(self.claimed_weights, (list, tuple)):
+            raise ValidationError("feature_names and claimed_weights must be lists")
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         weights = tuple(_require_real("claimed_weights", w) for w in self.claimed_weights)
         object.__setattr__(self, "claimed_weights", weights)
@@ -166,6 +174,18 @@ class RequestPair:
 
 
 TraceRecord = Union[StepResult, ToolCallRecord, OutputEvent, AttributionCase, RequestPair]
+
+# Wire name of each record type. The dataclass fields are the wire schema:
+# fields without a default are required, the rest optional. Unknown fields
+# such as "reasoning" or "context" are accepted and ignored; unknown types
+# are not.
+RECORD_TYPES: dict[str, type] = {
+    "step": StepResult,
+    "tool_call": ToolCallRecord,
+    "output": OutputEvent,
+    "attribution": AttributionCase,
+    "request_pair": RequestPair,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +222,8 @@ class EvalConfig:
     """Every threshold and weight the engine consumes.
 
     ``lambda_`` is spelled ``lambda`` in config files. ``dimension_thresholds``
-    and ``aggregate_weights`` are keyed by lowercase dimension name.
+    and ``aggregate_weights`` are keyed by lowercase dimension name; keys left
+    out of either map take the field's default. Number fields are stored as floats.
     """
 
     tau_u: float = 0.5
@@ -226,27 +247,38 @@ class EvalConfig:
     )
 
     def __post_init__(self) -> None:
-        for name in ("tau_u", "theta_acs", "delta_min", "theta_ar", "theta_prr",
-                     "acc_stability_band", "alpha", "beta", "gamma"):
-            _require_unit(name, getattr(self, name))
+        for f in fields(self):
+            name = f.name.rstrip("_")
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ValidationError(f"{name} must be a boolean")
+            elif f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                    raise ValidationError(f"{name} must be an integer >= 1")
+            elif f.type == "float":
+                value = _require_real(name, value)
+                if f.name == "lambda_":
+                    if value < 0:
+                        raise ValidationError("lambda must be >= 0")
+                else:
+                    _require_unit(name, value)
+                object.__setattr__(self, f.name, value)
+            else:
+                if not isinstance(value, dict):
+                    raise ValidationError(f"{name} must be an object")
+                for key in value:
+                    if key not in DIMENSION_KEYS:
+                        raise ValidationError(f"unknown dimension in {name}: {key!r}")
+                object.__setattr__(self, f.name, {**f.default_factory(), **value})
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
             raise ValidationError(
                 f"alpha + beta + gamma must equal 1, got {self.alpha + self.beta + self.gamma}"
             )
-        if _require_real("lambda", self.lambda_) < 0:
-            raise ValidationError("lambda must be >= 0")
-        if not isinstance(self.k_top, int) or self.k_top < 1:
-            raise ValidationError("k_top must be an integer >= 1")
-        if not isinstance(self.window_size, int) or self.window_size < 1:
-            raise ValidationError("window_size must be an integer >= 1")
         for key, value in self.dimension_thresholds.items():
-            if key not in DIMENSION_KEYS:
-                raise ValidationError(f"unknown dimension in thresholds: {key!r}")
             _require_unit(f"dimension_thresholds[{key}]", value)
         total = 0.0
         for key, value in self.aggregate_weights.items():
-            if key not in DIMENSION_KEYS:
-                raise ValidationError(f"unknown dimension in weights: {key!r}")
             if _require_real(f"aggregate_weights[{key}]", value) < 0:
                 raise ValidationError(f"aggregate_weights[{key}] must be >= 0")
             total += value
@@ -254,40 +286,27 @@ class EvalConfig:
             raise ValidationError("aggregate_weights must sum to a positive value")
 
     def threshold(self, dimension: Dimension) -> float:
-        return self.dimension_thresholds.get(dimension.value.lower(), 0.6)
+        return self.dimension_thresholds[dimension.value.lower()]
 
     def weight(self, dimension: Dimension) -> float:
-        return self.aggregate_weights.get(dimension.value.lower(), 1.0)
+        return self.aggregate_weights[dimension.value.lower()]
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "tau_u": self.tau_u,
-            "lambda": self.lambda_,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "k_top": self.k_top,
-            "window_size": self.window_size,
-            "theta_acs": self.theta_acs,
-            "delta_min": self.delta_min,
-            "theta_ar": self.theta_ar,
-            "theta_prr": self.theta_prr,
-            "acc_stability_band": self.acc_stability_band,
-            "acc_delta_cumulative": self.acc_delta_cumulative,
-            "dimension_thresholds": {k: self.dimension_thresholds.get(k, 0.6) for k in DIMENSION_KEYS},
-            "aggregate_weights": {k: self.aggregate_weights.get(k, 1.0) for k in DIMENSION_KEYS},
-        }
+        """The resolved config under its config-file key names."""
+        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
 
 
-# Wire schema: required/optional fields per record type. Unknown fields such
-# as "reasoning" or "context" are accepted and ignored; unknown types are not.
-_RECORD_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "step": (("step_index", "step_name", "confidence"), ()),
-    "tool_call": (("tool_name", "state", "latency_ms", "timestamp"), ()),
-    "output": (("category", "session_id", "timestamp"), ("quality_signal",)),
-    "attribution": (("feature_names", "claimed_weights", "decision_value"), ()),
-    "request_pair": (("text_a", "text_b", "decision_a", "decision_b"), ()),
+# Per wire name: the record class, a getter for its required fields in
+# declaration order, and the names of its optional fields.
+_WIRE_SCHEMA = {
+    name: (
+        cls,
+        itemgetter(*(f.name for f in fields(cls) if f.default is MISSING)),
+        tuple(f.name for f in fields(cls) if f.default is not MISSING),
+    )
+    for name, cls in RECORD_TYPES.items()
 }
+_WIRE_NAMES = {cls: name for name, cls in RECORD_TYPES.items()}
 
 
 def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord:
@@ -303,56 +322,18 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
     if not isinstance(payload, dict):
         raise TraceParseError("record must be a JSON object", line_number)
     record_type = payload.get("type")
-    if record_type not in _RECORD_FIELDS:
-        raise TraceParseError(f"unknown record type: {record_type!r}", line_number)
-    required, _ = _RECORD_FIELDS[record_type]
-    for name in required:
-        if name not in payload:
-            raise TraceParseError(f"{record_type} record missing field {name!r}", line_number)
     try:
-        if record_type == "step":
-            return StepResult(
-                step_index=payload["step_index"],
-                step_name=payload["step_name"],
-                confidence=payload["confidence"],
-            )
-        if record_type == "tool_call":
-            state_raw = payload["state"]
-            try:
-                state = ToolCallState(state_raw)
-            except ValueError:
-                raise ValidationError(
-                    f"state must be one of {[s.value for s in ToolCallState]}, got {state_raw!r}"
-                ) from None
-            return ToolCallRecord(
-                tool_name=payload["tool_name"],
-                state=state,
-                latency_ms=payload["latency_ms"],
-                timestamp=payload["timestamp"],
-            )
-        if record_type == "output":
-            return OutputEvent(
-                category=payload["category"],
-                session_id=payload["session_id"],
-                timestamp=payload["timestamp"],
-                quality_signal=payload.get("quality_signal"),
-            )
-        if record_type == "attribution":
-            names = payload["feature_names"]
-            weights = payload["claimed_weights"]
-            if not isinstance(names, list) or not isinstance(weights, list):
-                raise ValidationError("feature_names and claimed_weights must be lists")
-            return AttributionCase(
-                feature_names=tuple(names),
-                claimed_weights=tuple(weights),
-                decision_value=payload["decision_value"],
-            )
-        return RequestPair(
-            text_a=payload["text_a"],
-            text_b=payload["text_b"],
-            decision_a=payload["decision_a"],
-            decision_b=payload["decision_b"],
-        )
+        cls, required, optional = _WIRE_SCHEMA[record_type]
+    except (KeyError, TypeError):  # TypeError: an unhashable type value
+        raise TraceParseError(f"unknown record type: {record_type!r}", line_number) from None
+    try:
+        values = required(payload)
+    except KeyError as exc:
+        raise TraceParseError(
+            f"{record_type} record missing field {exc.args[0]!r}", line_number
+        ) from None
+    try:
+        return cls(*values, **{name: payload[name] for name in optional if name in payload})
     except ValidationError as exc:
         if line_number is not None:
             raise ValidationError(f"line {line_number}: {exc}") from exc
@@ -361,45 +342,12 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
 
 def serialize_trace_record(record: TraceRecord) -> str:
     """Serialize a record to its one-line wire form. Round-trips via parse."""
-    if isinstance(record, StepResult):
-        payload: dict[str, Any] = {
-            "type": "step",
-            "step_index": record.step_index,
-            "step_name": record.step_name,
-            "confidence": record.confidence,
-        }
-    elif isinstance(record, ToolCallRecord):
-        payload = {
-            "type": "tool_call",
-            "tool_name": record.tool_name,
-            "state": record.state.value,
-            "latency_ms": record.latency_ms,
-            "timestamp": record.timestamp,
-        }
-    elif isinstance(record, OutputEvent):
-        payload = {
-            "type": "output",
-            "category": record.category,
-            "session_id": record.session_id,
-            "timestamp": record.timestamp,
-        }
-        if record.quality_signal is not None:
-            payload["quality_signal"] = record.quality_signal
-    elif isinstance(record, AttributionCase):
-        payload = {
-            "type": "attribution",
-            "feature_names": list(record.feature_names),
-            "claimed_weights": list(record.claimed_weights),
-            "decision_value": record.decision_value,
-        }
-    elif isinstance(record, RequestPair):
-        payload = {
-            "type": "request_pair",
-            "text_a": record.text_a,
-            "text_b": record.text_b,
-            "decision_a": record.decision_a,
-            "decision_b": record.decision_b,
-        }
-    else:
-        raise TypeError(f"not a trace record: {type(record).__name__}")
+    try:
+        payload: dict[str, Any] = {"type": _WIRE_NAMES[type(record)]}
+    except KeyError:
+        raise TypeError(f"not a trace record: {type(record).__name__}") from None
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is not None:
+            payload[f.name] = value
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)

@@ -74,15 +74,6 @@ def test_metadata_keys():
     assert result.metadata()["step_confidences"] == [0.31, 0.9, 0.9]
 
 
-def test_divergence_exposed_only_with_ground_truth():
-    plain = evaluate_cascade(steps(0.31, 0.87, 0.88, 0.90, 0.85), CFG)
-    assert "internal_external_divergence" not in plain.metadata()
-    tracked = evaluate_cascade(
-        steps(0.31, 0.87, 0.88, 0.90, 0.85), CFG, ground_truth_correctness=0.41
-    )
-    assert tracked.metadata()["internal_external_divergence"] == pytest.approx(0.875 - 0.41)
-
-
 confidences_strategy = st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=12)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -44,6 +45,36 @@ def test_garbage_input_exits_two(tmp_path):
     trace = tmp_path / "bad.jsonl"
     trace.write_text("not a record\n{}\n")
     assert run_cli("evaluate", "--input", str(trace)) == 2
+
+
+def test_unhashable_type_is_a_parse_error_and_other_lines_evaluate(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    with trace.open("a") as handle:
+        handle.write('{"type": []}\n{"type": {}}\n')
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path)) == 0
+    document = json.loads(report_path.read_text())
+    assert document["record_counts"]["step"] == 5
+    assert [e["message"] for e in document["parse_errors"]] == [
+        "line 6: unknown record type: []",
+        "line 7: unknown record type: {}",
+    ]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_attribution_with_features_the_probe_lacks_exits_two(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    trace.write_text(
+        '{"type":"attribution","feature_names":["foo","bar"],'
+        '"claimed_weights":[0.6,0.4],"decision_value":0.5}\n'
+    )
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path)) == 2
+    assert not report_path.exists()
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert "foo" in err_lines[0]
 
 
 def test_strict_mode_fails_on_any_parse_error(tmp_path):
@@ -113,6 +144,30 @@ def test_config_file_overrides_and_report_echoes_them(tmp_path):
     # 0.762 - 0.1 * 0.875 = 0.6745 >= 0.5 threshold
     assert document["dimensions"]["CASCADE"]["score"] == pytest.approx(0.6745, abs=1e-12)
     assert code == 0
+
+
+# sha256 of the report for each acceptance scenario at seed 42, and its exit code
+REPORT_DIGESTS = {
+    ("fm1", "healthy"): (0, "37be1049c56713b36dfecb566d4e5063721ae0330056e7f805c8dba3bd947759"),
+    ("fm1", "low1"): (1, "ec195f8d10c5408662269017eb0264cc8e0b6cc93b4f5e135916ee7b57356bd3"),
+    ("fm1", "low2"): (1, "2cf54c2bde4eaa4dfd9ae8d720760574f4e863e933a9741a01f23e57220be622"),
+    ("fm1", "multi"): (1, "cda2fb9171fa883f81fb0fb3117ab92d3d94dc90e932ce0bf5bbf31d15ae27ba"),
+    ("fm2", None): (1, "8f7532e7ed0d709d1293e5c654503558d51a641e9439b8dacc85e50c3f8a7aa7"),
+    ("fm3", None): (1, "679adfb4a3e092044b49742d8c1c9e86a6359b72985588dc62281a87e5bde75e"),
+    ("fm5", "causal"): (0, "af246e0342008b6d1f6514908ac8805e3575fe5e486fcbec1c209236a2728279"),
+    ("fm5", "proxy_first"): (1, "9d53fac3875c275bf69507dcc3b1282e4fc16ce936c9c2b591176268981714b7"),
+    ("fm5", "proxy_second"): (0, "ccb65ebc7a839df56da6fac6b0302d95a0c4ff09b3cae07145fb694230fa773e"),
+}
+
+
+@pytest.mark.parametrize("scenario, variant", list(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, scenario, variant):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    simulate_to(trace, scenario, "--seed", "42", *(["--variant", variant] if variant else []))
+    code = run_cli("evaluate", "--input", str(trace), "--output", str(report_path))
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert (code, digest) == REPORT_DIGESTS[scenario, variant]
 
 
 # --- load_config -------------------------------------------------------------

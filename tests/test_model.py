@@ -45,8 +45,44 @@ def test_parse_rejects_out_of_range_confidence():
 
 
 def test_parse_rejects_unknown_type():
-    with pytest.raises(TraceParseError, match="unknown record type"):
-        parse_trace_record('{"type":"mystery","x":1}', line_number=7)
+    for line in ('{"type":"mystery","x":1}', '{"type":[]}', '{"type":{}}'):
+        with pytest.raises(TraceParseError, match="unknown record type"):
+            parse_trace_record(line, line_number=7)
+
+
+STATES = "['SUCCESS', 'PARTIAL', 'FAILED']"
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("{not json", TraceParseError,
+         "line 9: invalid JSON: Expecting property name enclosed in double quotes"),
+        ("[1, 2]", TraceParseError, "line 9: record must be a JSON object"),
+        ('{"type":"mystery","x":1}', TraceParseError, "line 9: unknown record type: 'mystery'"),
+        ('{"type":[]}', TraceParseError, "line 9: unknown record type: []"),
+        ('{"type":"step","step_index":1,"confidence":0.5}', TraceParseError,
+         "line 9: step record missing field 'step_name'"),
+        ('{"type":"tool_call","tool_name":"svc","state":"PARTIAL","latency_ms":1}', TraceParseError,
+         "line 9: tool_call record missing field 'timestamp'"),
+        ('{"type":"step","step_index":1,"step_name":"x","confidence":1.7}', ValidationError,
+         "line 9: confidence must be in [0, 1], got 1.7"),
+        ('{"type":"output","category":"c","session_id":"s","timestamp":1,"quality_signal":2}',
+         ValidationError, "line 9: quality_signal must be in [0, 1], got 2.0"),
+        ('{"type":"tool_call","tool_name":"svc","state":"flaky","latency_ms":1,"timestamp":0}',
+         ValidationError, f"line 9: state must be one of {STATES}, got 'flaky'"),
+        ('{"type":"attribution","feature_names":"ab","claimed_weights":[0.6,0.4],'
+         '"decision_value":0.5}', ValidationError,
+         "line 9: feature_names and claimed_weights must be lists"),
+        ('{"type":"tool_call","tool_name":7,"state":"flaky","latency_ms":1,"timestamp":0}',
+         ValidationError, f"line 9: state must be one of {STATES}, got 'flaky'"),
+    ],
+)
+def test_parse_error_messages(line, error, message):
+    with pytest.raises(error) as excinfo:
+        parse_trace_record(line, line_number=9)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 def test_parse_rejects_missing_field_naming_it():
@@ -123,6 +159,15 @@ def test_config_simplex_constraint():
         EvalConfig(alpha=0.6, beta=0.3, gamma=0.3)
     cfg = EvalConfig(alpha=0.4, beta=0.4, gamma=0.2)
     assert cfg.alpha == 0.4
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"k_top": True}, {"acc_delta_cumulative": "yes"}, {"dimension_thresholds": []}],
+)
+def test_config_rejects_wrong_types(kwargs):
+    with pytest.raises(ValidationError):
+        EvalConfig(**kwargs)
 
 
 def test_config_rejects_unknown_dimension_keys():
