@@ -1,10 +1,11 @@
 """Command-line entry points: trace evaluation with a CI gate, and the
 scenario simulator.
 
-Exit codes: 0 when the gate passes, 1 when it fails, 2 on input or
-configuration errors. The report document is deterministic for a given
-(input bytes, config bytes): it contains no wall-clock values, and writes
-are atomic (temp file then rename). Timing goes to stderr only.
+Exit codes: 0 when the gate passes, 1 when it fails, 2 on any error (input,
+configuration, output, or an unexpected exception); exit 2 writes no report.
+The report document is deterministic for a given (input bytes, config
+bytes): it contains no wall-clock values, and writes are atomic (temp file
+then rename). Timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 from typing import Any
@@ -97,49 +97,29 @@ def _write_atomic(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=".evalgate-")
+    tmp = target.with_name(f".evalgate-{os.urandom(6).hex()}-{target.name}")
+    # Mode "x" applies the umask, like any new file, and never follows a link.
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
-        os.replace(tmp_name, target)
+        os.replace(tmp, target)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        print(f"error: cannot read input {args.input}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    probe_context = ProbeContext(
-        probe=reference_probe(),
-        original_values=FM5_ORIGINAL_VALUES,
-        baseline_values=FM5_BASELINE_VALUES,
-    )
-    try:
-        report, diagnostics = evaluate_stream(lines, config, probe_context=probe_context)
-    except (EvaluationError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    config = load_config(args.config)
+    probe_context = ProbeContext(reference_probe(), FM5_ORIGINAL_VALUES, FM5_BASELINE_VALUES)
+    with open(args.input, "rb") as trace:
+        report, diagnostics = evaluate_stream(trace, config, probe_context=probe_context)
 
     for issue in diagnostics.parse_errors:
         print(f"parse error: {issue['message']}", file=sys.stderr)
     if args.strict and diagnostics.parse_errors:
-        print(
-            f"error: --strict and {len(diagnostics.parse_errors)} line(s) failed to parse",
-            file=sys.stderr,
-        )
+        count = len(diagnostics.parse_errors)
+        print(f"error: --strict and {count} line(s) failed to parse", file=sys.stderr)
         return EXIT_ERROR
 
     document = json.dumps(report_document(report, config, diagnostics), indent=2) + "\n"
@@ -162,16 +142,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        spec = ScenarioSpec(
-            scenario=args.scenario,
-            seed=args.seed,
-            variant=args.variant or default_variant(args.scenario),
-        )
-        records = generate(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    spec = ScenarioSpec(
+        scenario=args.scenario,
+        seed=args.seed,
+        variant=args.variant or default_variant(args.scenario),
+    )
+    records = generate(spec)
     text = "".join(serialize_trace_record(r) + "\n" for r in records)
     _write_atomic(args.output, text)
     print(f"wrote {len(records)} records for {spec.scenario}", file=sys.stderr)
@@ -205,7 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, EvaluationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a defect: still one stderr line and exit 2, never a traceback
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

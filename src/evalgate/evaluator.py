@@ -15,7 +15,7 @@ for the dimensions that evaluate complete supplied units.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,13 +43,8 @@ from .model import (
 from .reliability import LATENCY_BUCKET_COUNT, bucket_indices, evaluate_reliability
 from .stats import UndefinedStatisticError
 
-_DIMENSION_ORDER = (
-    Dimension.CASCADE,
-    Dimension.TOOL,
-    Dimension.DISTRIBUTION,
-    Dimension.EXPLANATION,
-    Dimension.CONSISTENCY,
-)
+# A scored dimension: (score, confidence, metadata).
+Outcome = tuple[float, float, dict[str, Any]]
 
 
 @dataclass
@@ -79,27 +74,9 @@ def split_pipelines(steps: Sequence[StepResult]) -> list[list[StepResult]]:
     return pipelines
 
 
-def _metric_result(
-    dimension: Dimension,
-    score: float,
-    confidence: float,
-    latency_ms: float,
-    metadata: dict[str, Any],
-    config: EvalConfig,
-) -> MetricResult:
-    return MetricResult(
-        dimension=dimension,
-        score=score,
-        confidence=confidence,
-        latency_ms=latency_ms,
-        passed=score >= config.threshold(dimension),
-        metadata=metadata,
-    )
-
-
 def _evaluate_cascade_dimension(
     steps: Sequence[StepResult], config: EvalConfig, diagnostics: StreamDiagnostics
-) -> tuple[float, float, dict[str, Any]] | None:
+) -> Outcome | None:
     results: list[CascadeResult] = []
     for pipeline in split_pipelines(steps):
         try:
@@ -146,9 +123,22 @@ def _quality_series_for_calls(
     return series, first_known
 
 
+def _evaluate_tool_dimension(
+    calls: Sequence[ToolCallRecord],
+    events: Sequence[OutputEvent],
+    config: EvalConfig,
+    diagnostics: StreamDiagnostics,
+) -> Outcome:
+    quality, baseline = _quality_series_for_calls(calls, events)
+    result = evaluate_reliability(calls, quality, baseline, config)
+    if result.rho_fallback is not None:
+        diagnostics.evaluation_notes.append(f"tool: {result.rho_fallback}")
+    return result.score, min(1.0, len(calls) / config.window_size), result.metadata()
+
+
 def _evaluate_distribution_dimension(
     events: Sequence[OutputEvent], config: EvalConfig
-) -> tuple[float, float, dict[str, Any]]:
+) -> Outcome:
     window = DistributionWindow(capacity=config.window_size)
     snapshots: list[DistributionSnapshot] = []
     since_snapshot = 0
@@ -174,7 +164,7 @@ def _evaluate_explanation_dimension(
     cases: Sequence[AttributionCase],
     probe_context: ProbeContext | None,
     config: EvalConfig,
-) -> tuple[float, float, dict[str, Any]]:
+) -> Outcome:
     if probe_context is None:
         raise EvaluationError(
             "attribution records present but no probe context supplied; "
@@ -193,6 +183,13 @@ def _evaluate_explanation_dimension(
     score = sum(r.acs for r in results) / len(results)
     worst = min(results, key=lambda r: r.acs)
     return score, 1.0, worst.metadata()
+
+
+def _evaluate_consistency_dimension(
+    pairs: Sequence[RequestPair], provider: EmbeddingProvider, config: EvalConfig
+) -> Outcome:
+    result = consistency_score(pairs, provider, config)
+    return result.score, 1.0, result.metadata()
 
 
 def evaluate_records(
@@ -217,46 +214,48 @@ def evaluate_records(
             raise TypeError(f"not a trace record: {type(record).__name__}")
         bucket.append(record)
     diagnostics.record_counts = {name: len(by_type[cls]) for name, cls in RECORD_TYPES.items()}
-    steps: list[StepResult] = by_type[StepResult]
-    calls: list[ToolCallRecord] = by_type[ToolCallRecord]
-    events: list[OutputEvent] = by_type[OutputEvent]
-    cases: list[AttributionCase] = by_type[AttributionCase]
-    pairs: list[RequestPair] = by_type[RequestPair]
-
+    steps, calls, events, cases, pairs = (
+        by_type[cls]
+        for cls in (StepResult, ToolCallRecord, OutputEvent, AttributionCase, RequestPair)
+    )
+    # (dimension, its input records, its scorer) in report order. The lambdas
+    # look each scorer up in this module when called, so it can be wrapped.
+    table = (
+        (Dimension.CASCADE, steps,
+         lambda: _evaluate_cascade_dimension(steps, config, diagnostics)),
+        (Dimension.TOOL, calls,
+         lambda: _evaluate_tool_dimension(calls, events, config, diagnostics)),
+        (Dimension.DISTRIBUTION, events,
+         lambda: _evaluate_distribution_dimension(events, config)),
+        (Dimension.EXPLANATION, cases,
+         lambda: _evaluate_explanation_dimension(cases, probe_context, config)),
+        (Dimension.CONSISTENCY, pairs,
+         lambda: _evaluate_consistency_dimension(pairs, provider, config)),
+    )
     per_dimension: dict[Dimension, MetricResult] = {}
     total_start = time.perf_counter()
-
-    for dimension in _DIMENSION_ORDER:
+    for dimension, inputs, scorer in table:
         start = time.perf_counter()
-        outcome: tuple[float, float, dict[str, Any]] | None = None
         try:
-            if dimension is Dimension.CASCADE and steps:
-                outcome = _evaluate_cascade_dimension(steps, config, diagnostics)
-            elif dimension is Dimension.TOOL and calls:
-                quality, baseline = _quality_series_for_calls(calls, events)
-                result = evaluate_reliability(calls, quality, baseline, config)
-                if result.rho_fallback is not None:
-                    diagnostics.evaluation_notes.append(f"tool: {result.rho_fallback}")
-                confidence = min(1.0, len(calls) / config.window_size)
-                outcome = result.score, confidence, result.metadata()
-            elif dimension is Dimension.DISTRIBUTION and events:
-                outcome = _evaluate_distribution_dimension(events, config)
-            elif dimension is Dimension.EXPLANATION and cases:
-                outcome = _evaluate_explanation_dimension(cases, probe_context, config)
-            elif dimension is Dimension.CONSISTENCY and pairs:
-                result = consistency_score(pairs, provider, config)
-                outcome = result.score, 1.0, result.metadata()
+            outcome = scorer() if inputs else None
         except UndefinedStatisticError as exc:
             diagnostics.evaluation_notes.append(f"{dimension.value.lower()}: {exc}")
-        if outcome is None:
             continue
-        score, confidence, metadata = outcome
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        per_dimension[dimension] = _metric_result(
-            dimension, score, confidence, latency_ms, metadata, config
-        )
+        if outcome is not None:
+            score, confidence, metadata = outcome
+            latency_ms = (time.perf_counter() - start) * 1000.0
+            passed = score >= config.threshold(dimension)
+            per_dimension[dimension] = MetricResult(
+                dimension, score, confidence, latency_ms, passed, metadata
+            )
 
     if not per_dimension:
+        errors = diagnostics.parse_errors
+        if errors and not any(diagnostics.record_counts.values()):
+            raise EvaluationError(
+                f"no evaluable records: all {len(errors)} line(s) failed to parse "
+                f"(first: {errors[0]['message']})"
+            )
         raise EvaluationError("no evaluable records")
 
     overall_score, passed = aggregate(per_dimension, config)
@@ -269,38 +268,34 @@ def evaluate_records(
 
 
 def evaluate_stream(
-    lines: Iterable[str],
+    lines: Iterable[bytes | str],
     config: EvalConfig | None = None,
     probe_context: ProbeContext | None = None,
     embedding_provider: EmbeddingProvider | None = None,
 ) -> tuple[EvalReport, StreamDiagnostics]:
     """Parse a line stream and evaluate whatever parses cleanly.
 
-    Parse failures are collected per line in the diagnostics; a stream with
-    records but none parseable raises EvaluationError.
+    Lines may be str, or bytes that are decoded as UTF-8. Parse failures,
+    undecodable lines included, are collected per line in the diagnostics;
+    a stream with records but none parseable raises EvaluationError.
     """
     diagnostics = StreamDiagnostics()
-    records: list[TraceRecord] = []
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            records.append(parse_trace_record(stripped, number))
-        except (TraceParseError, ValidationError) as exc:
-            diagnostics.parse_errors.append({"line": number, "message": str(exc)})
-    if not records and diagnostics.parse_errors:
-        raise EvaluationError(
-            f"no evaluable records: all {len(diagnostics.parse_errors)} line(s) failed "
-            f"to parse (first: {diagnostics.parse_errors[0]['message']})"
-        )
-    report = evaluate_records(
-        records,
-        config,
-        probe_context=probe_context,
-        embedding_provider=embedding_provider,
-        diagnostics=diagnostics,
-    )
+
+    def parsed() -> Iterator[TraceRecord]:
+        for number, line in enumerate(lines, start=1):
+            try:
+                if isinstance(line, bytes):
+                    try:
+                        line = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise TraceParseError(f"invalid UTF-8: {exc.reason}", number) from None
+                stripped = line.strip()
+                if stripped:
+                    yield parse_trace_record(stripped, number)
+            except (TraceParseError, ValidationError) as exc:
+                diagnostics.parse_errors.append({"line": number, "message": str(exc)})
+
+    report = evaluate_records(parsed(), config, probe_context, embedding_provider, diagnostics)
     return report, diagnostics
 
 

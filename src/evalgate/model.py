@@ -58,9 +58,24 @@ def _require_unit(name: str, value: float) -> float:
 def _require_real(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return number
+
+
+# Ticks lie in [-MAX_TICK, MAX_TICK], so the difference of any two converts to a float.
+MAX_TICK = 2**1022
+
+
+def _require_tick(value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError("timestamp must be an integer tick")
+    if abs(value) > MAX_TICK:
+        raise ValidationError("timestamp must be an integer tick in [-2**1022, 2**1022]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +118,7 @@ class ToolCallRecord:
         if latency < 0:
             raise ValidationError(f"latency_ms must be >= 0, got {latency}")
         object.__setattr__(self, "latency_ms", latency)
-        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
-            raise ValidationError("timestamp must be an integer tick")
+        _require_tick(self.timestamp)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +135,7 @@ class OutputEvent:
             raise ValidationError("category must be a non-empty string")
         if not isinstance(self.session_id, str):
             raise ValidationError("session_id must be a string")
-        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
-            raise ValidationError("timestamp must be an integer tick")
+        _require_tick(self.timestamp)
         if self.quality_signal is not None:
             object.__setattr__(
                 self, "quality_signal", _require_unit("quality_signal", self.quality_signal)
@@ -319,6 +332,10 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+    except RecursionError:
+        raise TraceParseError("invalid JSON: nested too deeply", line_number) from None
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        raise TraceParseError("invalid JSON: integer has too many digits", line_number) from None
     if not isinstance(payload, dict):
         raise TraceParseError("record must be a JSON object", line_number)
     record_type = payload.get("type")

@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalgate.cli import ConfigError, load_config, main
-from evalgate.model import EvalConfig
+from evalgate.model import EvalConfig, StepResult, serialize_trace_record
+from evalgate.simulate import ScenarioSpec, default_variant, generate
 
 
 def run_cli(*argv: str) -> int:
@@ -231,3 +238,168 @@ def test_exit_code_pure_function_of_inputs(tmp_path):
     simulate_to(trace, "fm3", "--seed", "9")
     codes = {run_cli("evaluate", "--input", str(trace)) for _ in range(3)}
     assert codes == {1}
+
+
+# --- every failure is exit 2; bad lines are per-line parse errors ------------
+
+def evaluate_to(trace, report_path, *extra) -> tuple[int, dict | None]:
+    code = run_cli("evaluate", "--input", str(trace), "--output", str(report_path), *extra)
+    return code, json.loads(report_path.read_text()) if report_path.exists() else None
+
+
+def test_line_separators_inside_a_step_name_do_not_split_the_line(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    with trace.open("a", encoding="utf-8") as handle:
+        for name in ("a\u2028b", "c\x85d", "e\u2029f"):
+            handle.write(serialize_trace_record(StepResult(1, name, 0.9)) + "\n")
+    code, document = evaluate_to(trace, tmp_path / "r.json")
+    assert code == 0
+    assert document["record_counts"]["step"] == 8
+    assert document["parse_errors"] == []
+
+
+def test_invalid_utf8_line_is_one_parse_error_and_other_lines_evaluate(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    with trace.open("ab") as handle:
+        handle.write(b'{"type":"step","step_index":1,"step_name":"\xff","confidence":0.9}\r\n')
+    code, document = evaluate_to(trace, tmp_path / "r.json")
+    assert code == 0
+    assert document["record_counts"]["step"] == 5
+    assert document["parse_errors"] == [{"line": 6, "message": "line 6: invalid UTF-8: invalid start byte"}]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_crlf_line_ends_are_accepted(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm2", "--seed", "42")
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+    assert evaluate_to(crlf, tmp_path / "a.json") == evaluate_to(trace, tmp_path / "b.json")
+
+
+def test_number_too_large_for_a_float_is_a_parse_error(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    with trace.open("a") as handle:
+        handle.write('{"type":"step","step_index":1,"step_name":"x","confidence":1' + "0" * 400 + "}\n")
+    code, document = evaluate_to(trace, tmp_path / "r.json")
+    assert code == 0
+    assert document["record_counts"]["step"] == 5
+    assert document["parse_errors"] == [{
+        "line": 6,
+        "message": "line 6: confidence must be finite, got an integer too large for a float",
+    }]
+
+
+def test_config_number_too_large_for_a_float_exits_two(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    config_path = tmp_path / "cfg.json"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    config_path.write_text('{"tau_u": 1' + "0" * 400 + "}")
+    capsys.readouterr()
+    code, document = evaluate_to(trace, tmp_path / "r.json", "--config", str(config_path))
+    assert (code, document) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: invalid config: tau_u must be finite, got an integer too large for a float\n"
+    )
+
+
+def test_huge_tick_is_a_parse_error_and_other_lines_evaluate(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm2", "--seed", "42")
+    expected = evaluate_to(trace, tmp_path / "before.json")
+    with trace.open("a") as handle:
+        handle.write('{"type":"tool_call","tool_name":"svc","state":"SUCCESS","latency_ms":1,'
+                     f'"timestamp":{10**400}}}\n')
+    code, document = evaluate_to(trace, tmp_path / "r.json")
+    assert code == expected[0]
+    assert document["dimensions"] == expected[1]["dimensions"]
+    assert [e["line"] for e in document["parse_errors"]] == [len(trace.read_text().splitlines())]
+
+
+def test_large_ticks_still_bucket(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("".join(
+        '{"type":"tool_call","tool_name":"svc","state":"SUCCESS","latency_ms":1,'
+        f'"timestamp":{tick}}}\n'
+        '{"type":"output","category":"c","session_id":"s",'
+        f'"timestamp":{tick},"quality_signal":0.9}}\n'
+        for tick in (0, 3 * 10**21, 6 * 10**21, 9 * 10**21)
+    ))
+    code, document = evaluate_to(trace, tmp_path / "r.json")
+    assert code == 1  # four events fill 4% of the default window
+    assert document["parse_errors"] == []
+    assert document["dimensions"]["TOOL"]["metadata"]["bucket_count"] == 10
+
+
+def test_output_into_missing_directory_exits_two_and_writes_nothing(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    capsys.readouterr()
+    missing = tmp_path / "missing"
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(missing / "r.json")) == 2
+    assert not missing.exists()
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert "No such file or directory" in err_lines[0]
+
+
+def test_report_mode_respects_the_umask(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    previous = os.umask(0o022)
+    try:
+        assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path)) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(report_path.stat().st_mode) == 0o644
+
+
+def _wire_lines(scenario: str, variant: str | None = None) -> list[bytes]:
+    records = generate(ScenarioSpec(scenario, seed=42, variant=variant or default_variant(scenario)))
+    return [serialize_trace_record(r).encode() for r in records[:40]]
+
+
+HOSTILE_LINES = [
+    b"[" * 100_000,
+    b'{"type":"step","step_index":1,"step_name":"x","confidence":' + b"9" * 5000 + b"}",
+    b'{"type":"step","step_index":1,"step_name":"x","confidence":1' + b"0" * 400 + b"}",
+    b'{"type":"tool_call","tool_name":"t","state":"PARTIAL","latency_ms":1,"timestamp":1'
+    + b"0" * 400 + b"}",
+    b'{"type":"attribution","feature_names":["foo","bar"],"claimed_weights":[0.6,0.4],'
+    b'"decision_value":0.5}',
+    b'{"type":"step","step_index":1,"step_name":"\xff\xfe","confidence":0.5}',
+    b"\xef\xbb\xbf{}",
+    b"",
+]
+byte_lines = st.one_of(
+    st.sampled_from(
+        _wire_lines("fm1", "low1") + _wire_lines("fm2") + _wire_lines("fm3")
+        + _wire_lines("fm5", "proxy_first")
+    ),
+    st.sampled_from(HOSTILE_LINES),
+    st.builds(
+        lambda name, confidence: serialize_trace_record(StepResult(1, name, confidence)).encode(),
+        st.text(alphabet="a\r\x85\u2028\u2029", max_size=4),
+        st.floats(0.0, 1.0),
+    ),
+    st.binary(max_size=24),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=st.lists(byte_lines, max_size=12), strict=st.booleans())
+def test_exit_code_contract(lines, strict):
+    """Exit 0 or 1 iff a report was written; exit 1 iff that report failed the gate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, report = Path(tmp, "t.jsonl"), Path(tmp, "r.json")
+        trace.write_bytes(b"\n".join(lines))
+        code = run_cli("evaluate", "--input", str(trace), "--output", str(report),
+                       *(["--strict"] if strict else []))
+        assert code in (0, 1, 2)
+        assert report.exists() == (code in (0, 1))
+        if report.exists():
+            assert (code == 1) == (json.loads(report.read_text())["passed"] is False)

@@ -76,6 +76,10 @@ STATES = "['SUCCESS', 'PARTIAL', 'FAILED']"
          "line 9: feature_names and claimed_weights must be lists"),
         ('{"type":"tool_call","tool_name":7,"state":"flaky","latency_ms":1,"timestamp":0}',
          ValidationError, f"line 9: state must be one of {STATES}, got 'flaky'"),
+        pytest.param("[" * 100_000, TraceParseError, "line 9: invalid JSON: nested too deeply",
+                     id="deep-nesting"),
+        pytest.param('{"type":"step","step_index":' + "1" * 5000 + "}", TraceParseError,
+                     "line 9: invalid JSON: integer has too many digits", id="long-integer"),
     ],
 )
 def test_parse_error_messages(line, error, message):
@@ -140,6 +144,29 @@ def test_output_event_requires_category():
 def test_tool_call_rejects_negative_latency():
     with pytest.raises(ValidationError, match="latency_ms"):
         ToolCallRecord("svc", ToolCallState.SUCCESS, -1.0, 0)
+
+
+def test_numbers_too_large_for_a_float_are_validation_errors():
+    huge = 10**400
+    with pytest.raises(ValidationError, match="confidence must be finite"):
+        StepResult(1, "x", huge)
+    with pytest.raises(ValidationError, match="tau_u must be finite"):
+        EvalConfig(tau_u=huge)
+    with pytest.raises(ValidationError, match=r"aggregate_weights\[tool\] must be finite"):
+        EvalConfig(aggregate_weights={"tool": huge})
+
+
+def test_ticks_are_bounded_so_differences_convert_to_float():
+    bound = 2**1022
+    for tick in (-bound, 9 * 10**21, bound):
+        assert ToolCallRecord("svc", "SUCCESS", 1.0, tick).timestamp == tick
+        assert OutputEvent("c", "s", tick).timestamp == tick
+    assert float(bound - -bound) == 2.0**1023
+    for tick in (bound + 1, -bound - 1, 10**400):
+        with pytest.raises(ValidationError, match="timestamp must be an integer tick in"):
+            ToolCallRecord("svc", "SUCCESS", 1.0, tick)
+        with pytest.raises(ValidationError, match="timestamp must be an integer tick in"):
+            OutputEvent("c", "s", tick)
 
 
 def test_step_index_must_be_positive_integer():
