@@ -34,6 +34,8 @@ from .simulate import (
 EXIT_PASS = 0
 EXIT_GATE_FAILED = 1
 EXIT_ERROR = 2
+# Parse errors printed to stderr; the report lists all of them.
+STDERR_PARSE_ERRORS = 20
 
 
 class ConfigError(ValueError):
@@ -115,8 +117,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as trace:
         report, diagnostics = evaluate_stream(trace, config, probe_context=probe_context)
 
-    for issue in diagnostics.parse_errors:
+    for issue in diagnostics.parse_errors[:STDERR_PARSE_ERRORS]:
         print(f"parse error: {issue['message']}", file=sys.stderr)
+    if len(diagnostics.parse_errors) > STDERR_PARSE_ERRORS:
+        more = len(diagnostics.parse_errors) - STDERR_PARSE_ERRORS
+        print(f"parse error: ... and {more} more; all are listed in the report", file=sys.stderr)
     if args.strict and diagnostics.parse_errors:
         count = len(diagnostics.parse_errors)
         print(f"error: --strict and {count} line(s) failed to parse", file=sys.stderr)

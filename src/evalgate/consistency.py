@@ -69,9 +69,7 @@ class ConsistencyResult:
 
 
 def agreement_rate(pairs: Sequence[RequestPair]) -> float:
-    """Fraction of pairs whose decisions are exactly equal."""
-    if not pairs:
-        raise UndefinedStatisticError("agreement rate of an empty pair set is undefined")
+    """Fraction of pairs whose decisions are exactly equal; pairs must be non-empty."""
     agreed = sum(1 for p in pairs if p.decision_a == p.decision_b)
     return agreed / len(pairs)
 

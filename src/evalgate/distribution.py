@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .model import EvalConfig, OutputEvent
-from .stats import UndefinedStatisticError, normalized_entropy
+from .stats import normalized_entropy
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,11 +43,10 @@ class DistributionWindow:
     """Ring buffer of the most recent ``capacity`` output events.
 
     Category counts are maintained incrementally; observe() is single-writer.
+    capacity must be >= 1.
     """
 
     def __init__(self, capacity: int = 100):
-        if capacity < 1:
-            raise ValueError(f"window capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._events: deque[OutputEvent] = deque()
         self._counts: Counter[str] = Counter()
@@ -78,11 +77,9 @@ def snapshot(window: DistributionWindow, config: EvalConfig) -> DistributionSnap
 
     Entropy normalizes over the categories present in the window, so any
     uniform window scores 1 regardless of catalogue size. Diversity divides
-    by the configured capacity, not the fill.
+    by the configured capacity, not the fill. The window must be non-empty.
     """
     fill = len(window)
-    if fill == 0:
-        raise UndefinedStatisticError("snapshot of an empty window is undefined")
     counts = window.category_counts
     distinct = len(counts)
 

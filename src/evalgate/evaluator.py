@@ -203,6 +203,7 @@ def evaluate_records(
 
     Raises EvaluationError when nothing in the stream is evaluable.
     """
+    total_start = time.perf_counter()
     config = config or EvalConfig()
     diagnostics = diagnostics if diagnostics is not None else StreamDiagnostics()
     provider = embedding_provider or HashEmbeddingProvider()
@@ -233,7 +234,6 @@ def evaluate_records(
          lambda: _evaluate_consistency_dimension(pairs, provider, config)),
     )
     per_dimension: dict[Dimension, MetricResult] = {}
-    total_start = time.perf_counter()
     for dimension, inputs, scorer in table:
         start = time.perf_counter()
         try:
@@ -245,9 +245,7 @@ def evaluate_records(
             score, confidence, metadata = outcome
             latency_ms = (time.perf_counter() - start) * 1000.0
             passed = score >= config.threshold(dimension)
-            per_dimension[dimension] = MetricResult(
-                dimension, score, confidence, latency_ms, passed, metadata
-            )
+            per_dimension[dimension] = MetricResult(score, confidence, latency_ms, passed, metadata)
 
     if not per_dimension:
         errors = diagnostics.parse_errors
@@ -299,13 +297,8 @@ def evaluate_stream(
     return report, diagnostics
 
 
-def aggregate(
-    results: dict[Dimension, MetricResult], config: EvalConfig | None = None
-) -> tuple[float, bool]:
-    """Weight-normalized mean over present dimensions; gate is their conjunction."""
-    if not results:
-        raise EvaluationError("cannot aggregate zero dimension results")
-    config = config or EvalConfig()
+def aggregate(results: dict[Dimension, MetricResult], config: EvalConfig) -> tuple[float, bool]:
+    """Weight-normalized mean over non-empty results; gate is their conjunction."""
     total_weight = sum(config.weight(d) for d in results)
     if total_weight > 0:
         overall = sum(config.weight(d) * r.score for d, r in results.items()) / total_weight

@@ -97,13 +97,7 @@ def perturbation_impacts(
 
 
 def attribution_consistency(claimed: list[float], impacts: list[float]) -> float:
-    """(spearman(claimed, impacts) + 1) / 2."""
-    if len(claimed) != len(impacts):
-        raise ValidationError(
-            f"claimed weights ({len(claimed)}) and impacts ({len(impacts)}) differ in length"
-        )
-    if len(claimed) < 2:
-        raise ValidationError("attribution consistency needs at least 2 features")
+    """(spearman(claimed, impacts) + 1) / 2, over two lists of equal length >= 2."""
     return (spearman(claimed, impacts) + 1.0) / 2.0
 
 

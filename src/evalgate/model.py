@@ -2,8 +2,9 @@
 
 Trace records arrive as a line-delimited JSON stream, one record per line,
 discriminated by a ``type`` field. All domain types are immutable value
-objects. Timestamps are integer ticks supplied by the trace; the engine
-never reads a wall clock while evaluating, so replays are deterministic.
+objects. Timestamps are integer ticks supplied by the trace. The engine
+times its scorers for stderr, but no wall-clock value reaches the report,
+so replays are deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class TraceParseError(ValueError):
     """A trace line could not be parsed into a record."""
 
     def __init__(self, message: str, line_number: int | None = None):
-        self.line_number = line_number
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
@@ -205,7 +205,6 @@ RECORD_TYPES: dict[str, type] = {
 class MetricResult:
     """One dimension's normalized score plus its gate verdict and sub-signals."""
 
-    dimension: Dimension
     score: float
     confidence: float
     latency_ms: float

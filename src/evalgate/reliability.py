@@ -46,17 +46,13 @@ class ReliabilityResult:
 
 
 def partial_response_rate(calls: Sequence[ToolCallRecord]) -> float:
-    """Fraction of calls in PARTIAL state."""
-    if not calls:
-        raise UndefinedStatisticError("partial response rate of an empty call set is undefined")
+    """Fraction of calls in PARTIAL state; calls must be non-empty."""
     partial = sum(1 for c in calls if c.state is ToolCallState.PARTIAL)
     return partial / len(calls)
 
 
 def percentile_nearest_rank(values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct * m)-th smallest value."""
-    if not values:
-        raise UndefinedStatisticError("percentile of an empty sample is undefined")
+    """Nearest-rank percentile: the ceil(pct * m)-th smallest value; values must be non-empty."""
     ordered = sorted(values)
     rank = max(1, math.ceil(pct * len(ordered)))
     return ordered[rank - 1]
@@ -90,15 +86,9 @@ def latency_quality_correlation(
 
     Calls are split into len(quality) equal-width tick buckets; bucket b pairs
     its p95 latency with baseline_quality - quality[b]. Buckets containing no
-    calls are dropped along with their quality point.
+    calls are dropped along with their quality point; calls must be non-empty.
     """
-    if not calls:
-        raise UndefinedStatisticError("latency-quality correlation needs calls")
     bucket_count = len(quality)
-    if bucket_count < 3:
-        raise UndefinedStatisticError(
-            f"latency-quality correlation needs >= 3 buckets, got {bucket_count}"
-        )
     assignments = bucket_indices([c.timestamp for c in calls], bucket_count)
     latencies: list[list[float]] = [[] for _ in range(bucket_count)]
     for call, b in zip(calls, assignments):
@@ -119,11 +109,7 @@ def latency_quality_correlation(
 
 
 def tool_reliability_score(prr: float, rho_lq: float) -> float:
-    """clamp(1 - prr * (1 + max(rho_lq, 0))) into [0, 1]."""
-    if not 0.0 <= prr <= 1.0:
-        raise UndefinedStatisticError(f"prr must be in [0, 1], got {prr}")
-    if not -1.0 <= rho_lq <= 1.0:
-        raise UndefinedStatisticError(f"rho_lq must be in [-1, 1], got {rho_lq}")
+    """clamp(1 - prr * (1 + max(rho_lq, 0))) into [0, 1], for prr in [0, 1], rho_lq in [-1, 1]."""
     return min(1.0, max(0.0, 1.0 - prr * (1.0 + max(rho_lq, 0.0))))
 
 
@@ -131,8 +117,6 @@ def detect_silent_degradation(
     prr: float, external_accuracy_delta: float, config: EvalConfig
 ) -> bool:
     """True when the partial rate crossed theta_prr while accuracy looked flat."""
-    if not (math.isfinite(prr) and math.isfinite(external_accuracy_delta)):
-        return False
     return prr > config.theta_prr and abs(external_accuracy_delta) <= config.acc_stability_band
 
 

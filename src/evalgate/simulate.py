@@ -84,7 +84,6 @@ _QUALITY_WIGGLE = 0.004
 
 @dataclass(frozen=True, slots=True)
 class Fm2Stage:
-    index: int
     calls: tuple[ToolCallRecord, ...]
     quality: tuple[float, ...]
     baseline_quality: float
@@ -175,7 +174,6 @@ def generate_fm2(seed: int) -> Fm2Scenario:
             )
         stages.append(
             Fm2Stage(
-                index=s + 1,
                 calls=tuple(calls),
                 quality=tuple(quality),
                 baseline_quality=accuracy,

@@ -25,17 +25,9 @@ def normalized_entropy(counts: Sequence[int], k: int) -> float:
 
     Zero counts contribute nothing; k == 1 returns 0.0 by convention.
     Natural log throughout; the 1/log(k) normalization cancels the base.
+    counts must be k >= 1 non-negative counts with a positive sum.
     """
-    if k < 1:
-        raise UndefinedStatisticError(f"category count must be >= 1, got {k}")
-    if len(counts) != k:
-        raise UndefinedStatisticError(f"expected {k} counts, got {len(counts)}")
-    for c in counts:
-        if c < 0:
-            raise UndefinedStatisticError(f"negative count: {c}")
     n = sum(counts)
-    if n == 0:
-        raise UndefinedStatisticError("entropy of an empty window is undefined")
     if k == 1:
         return 0.0
     raw = -math.fsum((c / n) * math.log(c / n) for c in counts if c > 0)
@@ -64,19 +56,20 @@ def _exact_affine_slope(x: Sequence[float], y: Sequence[float]) -> float | None:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation. Zero variance in either series yields 0.0."""
-    if len(x) != len(y):
-        raise UndefinedStatisticError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise UndefinedStatisticError("correlation needs at least 2 points")
-    _check_finite("x", x)
-    _check_finite("y", y)
+    """Product-moment correlation. Zero variance in either series yields 0.0.
+
+    x and y must be finite, of equal length >= 2. Sums that overflow a float
+    raise UndefinedStatisticError.
+    """
     n = len(x)
-    mx = math.fsum(x) / n
-    my = math.fsum(y) / n
-    cov = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
-    vx = math.fsum((a - mx) ** 2 for a in x)
-    vy = math.fsum((b - my) ** 2 for b in y)
+    try:
+        mx = math.fsum(x) / n
+        my = math.fsum(y) / n
+        cov = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
+        vx = math.fsum((a - mx) ** 2 for a in x)
+        vy = math.fsum((b - my) ** 2 for b in y)
+    except OverflowError:
+        raise UndefinedStatisticError("correlation overflows a float") from None
     if vx == 0.0 or vy == 0.0:
         return 0.0
     slope = _exact_affine_slope(x, y)
@@ -105,11 +98,10 @@ def fractional_ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Rank correlation: pearson over average-fractional ranks."""
-    if len(x) != len(y):
-        raise UndefinedStatisticError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise UndefinedStatisticError("correlation needs at least 2 points")
+    """Rank correlation: pearson over average-fractional ranks.
+
+    x and y must be of equal length >= 2; a non-finite value raises.
+    """
     _check_finite("x", x)
     _check_finite("y", y)
     return pearson(fractional_ranks(x), fractional_ranks(y))

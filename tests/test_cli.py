@@ -93,6 +93,21 @@ def test_strict_mode_fails_on_any_parse_error(tmp_path):
     assert run_cli("evaluate", "--input", str(trace), "--strict") == 2
 
 
+def test_stderr_lists_the_first_parse_errors_and_the_report_lists_all(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    with trace.open("a") as handle:
+        handle.write("broken line\n" * 100)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path)) == 0
+    err_lines = capsys.readouterr().err.splitlines()
+    parse_lines = [line for line in err_lines if line.startswith("parse error:")]
+    assert len(parse_lines) == 21
+    assert parse_lines[-1] == "parse error: ... and 80 more; all are listed in the report"
+    assert len(json.loads(report_path.read_text())["parse_errors"]) == 100
+
+
 def test_unknown_scenario_or_variant_exits_two(tmp_path):
     out = tmp_path / "t.jsonl"
     proc = subprocess.run(
@@ -175,6 +190,44 @@ def test_report_bytes_are_pinned(tmp_path, scenario, variant):
     code = run_cli("evaluate", "--input", str(trace), "--output", str(report_path))
     digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
     assert (code, digest) == REPORT_DIGESTS[scenario, variant]
+
+
+# All five record types, two bad lines, a one-step pipeline (a cascade: note)
+# and tool calls with no quality signal (a tool: note).
+MIXED_TRACE = (
+    '{"type":"step","step_index":1,"step_name":"retrieve","confidence":0.9}\n'
+    '{"type":"step","step_index":2,"step_name":"plan","confidence":0.4}\n'
+    '{"type":"step","step_index":3,"step_name":"answer","confidence":0.8}\n'
+    '{"type":"step","step_index":1,"step_name":"lone","confidence":0.7}\n'
+    '{"type":"tool_call","tool_name":"svc","state":"SUCCESS","latency_ms":120,"timestamp":0}\n'
+    '{"type":"tool_call","tool_name":"svc","state":"PARTIAL","latency_ms":340.5,"timestamp":10}\n'
+    '{"type":"tool_call","tool_name":"svc","state":"FAILED","latency_ms":90,"timestamp":20}\n'
+    '{"type":"output","category":"approve","session_id":"s1","timestamp":5}\n'
+    '{"type":"output","category":"deny","session_id":"s1","timestamp":15}\n'
+    '{"type":"output","category":"approve","session_id":"s2","timestamp":25}\n'
+    '{"type":"attribution","feature_names":["geography_risk_score","transaction_velocity",'
+    '"device_age_days"],"claimed_weights":[0.5,0.3,0.2],"decision_value":0.5}\n'
+    '{"type":"request_pair","text_a":"refund my order","text_b":"please refund my order",'
+    '"decision_a":"approve","decision_b":"approve"}\n'
+    '{"type":"request_pair","text_a":"close my account","text_b":"delete my account",'
+    '"decision_a":"approve","decision_b":"escalate"}\n'
+    'not json\n'
+    '{"type":"step","step_index":1,"step_name":"x","confidence":1.5}\n'
+)
+
+
+def test_report_bytes_with_notes_and_parse_errors_are_pinned(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    trace.write_text(MIXED_TRACE)
+    code = run_cli("evaluate", "--input", str(trace), "--output", str(report_path))
+    document = json.loads(report_path.read_text())
+    assert len(document["dimensions"]) == 5 and len(document["parse_errors"]) == 2
+    assert [note.split(":")[0] for note in document["evaluation_notes"]] == ["cascade", "tool"]
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert (code, digest) == (
+        1, "d8c9bdca87d02a391057b41cde1da03e03b4b3d9959ded16ac5b30b964c2718c"
+    )
 
 
 # --- load_config -------------------------------------------------------------
@@ -332,6 +385,30 @@ def test_large_ticks_still_bucket(tmp_path):
     assert code == 1  # four events fill 4% of the default window
     assert document["parse_errors"] == []
     assert document["dimensions"]["TOOL"]["metadata"]["bucket_count"] == 10
+
+
+def _tool_trace_with_latencies(latencies) -> str:
+    return "".join(
+        '{"type":"tool_call","tool_name":"svc","state":"SUCCESS",'
+        f'"latency_ms":{latency!r},"timestamp":{10 * i}}}\n'
+        f'{{"type":"output","category":"c{i % 3}","session_id":"s",'
+        f'"timestamp":{10 * i},"quality_signal":{0.9 - 0.01 * (i % 5):.2f}}}\n'
+        for i, latency in enumerate(latencies)
+    )
+
+
+@pytest.mark.parametrize("latencies", [
+    [1.0, 1e308] * 20,  # the mean's fsum overflows
+    [10.0 + i for i in range(7)] + [1e200] + [10.0 + i for i in range(32)],  # a square overflows
+], ids=["fsum", "square"])
+def test_latencies_near_the_float_maximum_fall_back_to_rho_zero(tmp_path, latencies):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(_tool_trace_with_latencies(latencies))
+    code, document = evaluate_to(trace, tmp_path / "r.json")
+    assert code == 0
+    tool = document["dimensions"]["TOOL"]["metadata"]
+    assert (tool["rho_lq"], tool["rho_fallback"]) == (0.0, "correlation overflows a float")
+    assert document["evaluation_notes"] == ["tool: correlation overflows a float"]
 
 
 def test_output_into_missing_directory_exits_two_and_writes_nothing(tmp_path, capsys):

@@ -14,7 +14,7 @@ from evalgate.consistency import (
     consistency_score,
 )
 from evalgate.model import EvalConfig, RequestPair
-from evalgate.stats import UndefinedStatisticError, cosine_similarity
+from evalgate.stats import cosine_similarity
 
 CFG = EvalConfig()
 PROVIDER = HashEmbeddingProvider()
@@ -34,11 +34,6 @@ def test_agreement_rate_counts_exact_matches():
     assert agreement_rate(pairs) == 0.75
     assert agreement_rate([pair("x", "y")]) == 1.0
     assert agreement_rate([pair("x", "y", "a", "b")]) == 0.0
-
-
-def test_agreement_rate_rejects_empty():
-    with pytest.raises(UndefinedStatisticError):
-        agreement_rate([])
 
 
 def test_single_flip_arithmetic():

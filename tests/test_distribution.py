@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evalgate.distribution import DistributionWindow, snapshot
 from evalgate.model import EvalConfig, OutputEvent
-from evalgate.stats import UndefinedStatisticError, normalized_entropy
+from evalgate.stats import normalized_entropy
 
 CFG = EvalConfig()
 
@@ -84,11 +84,6 @@ def test_score_is_weighted_blend():
     snap = snapshot(fill_window(cats), CFG)
     expected = CFG.alpha * snap.entropy + CFG.beta * snap.diversity + CFG.gamma * (1 - snap.repeat_rate)
     assert snap.score == pytest.approx(expected, abs=1e-15)
-
-
-def test_empty_window_snapshot_is_undefined():
-    with pytest.raises(UndefinedStatisticError):
-        snapshot(DistributionWindow(10), CFG)
 
 
 def test_mean_quality_averages_tagged_events_only():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from evalgate.evaluator import aggregate, evaluate_records, evaluate_stream, split_pipelines
@@ -33,14 +35,22 @@ def probe_context() -> ProbeContext:
     return ProbeContext(reference_probe(), FM5_ORIGINAL_VALUES, FM5_BASELINE_VALUES)
 
 
-def metric(dim: Dimension, score: float, passed: bool) -> MetricResult:
-    return MetricResult(dim, score, 1.0, 0.0, passed)
+def metric(score: float, passed: bool) -> MetricResult:
+    return MetricResult(score, 1.0, 0.0, passed)
 
 
 def test_output_only_stream_contains_exactly_distribution():
     events = [OutputEvent(f"c{i % 5}", "s", i) for i in range(50)]
     report = evaluate_records(events, CFG)
     assert set(report.per_dimension) == {Dimension.DISTRIBUTION}
+
+
+def test_total_latency_covers_reading_the_records():
+    def slow_records():
+        time.sleep(0.05)
+        yield from (OutputEvent(f"c{i % 5}", "s", i) for i in range(10))
+
+    assert evaluate_records(slow_records(), CFG).total_latency_ms >= 50
 
 
 def test_empty_stream_is_an_error():
@@ -104,15 +114,15 @@ def test_single_step_pipeline_noted_not_fatal():
 
 
 def test_aggregate_single_dimension_identity():
-    overall, passed = aggregate({Dimension.TOOL: metric(Dimension.TOOL, 0.7, True)}, CFG)
+    overall, passed = aggregate({Dimension.TOOL: metric(0.7, True)}, CFG)
     assert overall == 0.7
     assert passed
 
 
 def test_aggregate_mean_and_conjunction():
     results = {
-        Dimension.TOOL: metric(Dimension.TOOL, 0.9, True),
-        Dimension.DISTRIBUTION: metric(Dimension.DISTRIBUTION, 0.3, False),
+        Dimension.TOOL: metric(0.9, True),
+        Dimension.DISTRIBUTION: metric(0.3, False),
     }
     overall, passed = aggregate(results, CFG)
     assert overall == pytest.approx(0.6, abs=1e-12)
@@ -122,8 +132,8 @@ def test_aggregate_mean_and_conjunction():
 def test_aggregate_respects_weights_renormalized():
     cfg = EvalConfig(aggregate_weights={"tool": 3.0, "distribution": 1.0})
     results = {
-        Dimension.TOOL: metric(Dimension.TOOL, 0.8, True),
-        Dimension.DISTRIBUTION: metric(Dimension.DISTRIBUTION, 0.4, True),
+        Dimension.TOOL: metric(0.8, True),
+        Dimension.DISTRIBUTION: metric(0.4, True),
     }
     overall, passed = aggregate(results, cfg)
     assert overall == pytest.approx((3 * 0.8 + 0.4) / 4, abs=1e-12)

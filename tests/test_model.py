@@ -12,7 +12,6 @@ from evalgate.model import (
     AttributionCase,
     EvalConfig,
     MetricResult,
-    Dimension,
     OutputEvent,
     RequestPair,
     StepResult,
@@ -178,7 +177,7 @@ def test_step_index_must_be_positive_integer():
 
 def test_metric_result_clamps_nothing_silently():
     with pytest.raises(ValidationError):
-        MetricResult(Dimension.TOOL, score=1.5, confidence=1.0, latency_ms=0.0, passed=True)
+        MetricResult(score=1.5, confidence=1.0, latency_ms=0.0, passed=True)
 
 
 def test_config_simplex_constraint():

@@ -44,11 +44,6 @@ def test_partial_rate_ignores_failed_calls():
     assert partial_response_rate(mixed) == pytest.approx(2 / 9)
 
 
-def test_partial_rate_rejects_empty():
-    with pytest.raises(UndefinedStatisticError):
-        partial_response_rate([])
-
-
 def test_tool_reliability_score_values():
     assert tool_reliability_score(0.0, 0.9) == 1.0
     assert tool_reliability_score(0.2, 0.5) == pytest.approx(0.70, abs=1e-12)
