@@ -33,22 +33,33 @@ class HashEmbeddingProvider:
     Each whitespace token is lowered and hashed (sha256) to a vector index;
     counts accumulate and the vector is normalized. Deterministic across
     processes and platforms; never zero for non-empty text.
+
+    Each instance memoizes token -> index, so sha256 runs once per distinct
+    token; the memo holds one entry per distinct token the instance has seen
+    and lives as long as the instance. The norm sums only the touched
+    indices; the untouched ones add exact zeros, so the values are the same.
     """
 
     def __init__(self, dimension: int = 256):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
+        self._index_of: dict[str, int] = {}
 
     def embed(self, text: str) -> list[float]:
+        index_of = self._index_of
+        counts: dict[int, float] = {}
+        for token in text.lower().split() or [text]:
+            index = index_of.get(token)
+            if index is None:
+                digest = hashlib.sha256(token.encode("utf-8")).digest()
+                index = index_of[token] = int.from_bytes(digest[:8], "big") % self.dimension
+            counts[index] = counts.get(index, 0.0) + 1.0
+        norm = math.sqrt(math.fsum(x * x for x in counts.values()))
         vector = [0.0] * self.dimension
-        tokens = text.lower().split() or [text]
-        for token in tokens:
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            index = int.from_bytes(digest[:8], "big") % self.dimension
-            vector[index] += 1.0
-        norm = math.sqrt(math.fsum(x * x for x in vector))
-        return [x / norm for x in vector]
+        for index, count in counts.items():
+            vector[index] = count / norm
+        return vector
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalgate.cli import main
 from evalgate.consistency import (
     HashEmbeddingProvider,
     agreement_rate,
@@ -97,6 +101,56 @@ def test_hash_provider_is_deterministic_and_unit_norm():
     assert any(x != 0 for x in PROVIDER.embed("   "))
 
 
+def oracle_embed(text: str, dimension: int) -> list[float]:
+    # the bundled provider's algorithm without its token memo
+    vector = [0.0] * dimension
+    for token in text.lower().split() or [text]:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        vector[int.from_bytes(digest[:8], "big") % dimension] += 1.0
+    norm = math.sqrt(math.fsum(x * x for x in vector))
+    return [x / norm for x in vector]
+
+
+EMBED_TEXTS = [
+    "",
+    "   ",
+    "\t\n",
+    "Grant ACCESS to the Vault",
+    "grant access to the vault",
+    "the the the the vault the",
+    "Überweisung prüfen ÄÖÜ straße",
+    "請 確認 帳戶 請",
+    "é e\u0301 ﬁle",
+    "x",
+]
+
+
+@pytest.mark.parametrize("dimension", [256, 1, 7])
+def test_hash_provider_matches_the_unmemoized_algorithm(dimension):
+    provider = HashEmbeddingProvider(dimension)
+    cold = [provider.embed(text) for text in EMBED_TEXTS]
+    warm = [provider.embed(text) for text in reversed(EMBED_TEXTS)][::-1]
+    expected = [oracle_embed(text, dimension) for text in EMBED_TEXTS]
+    assert cold == expected
+    assert warm == expected
+    assert all(len(vector) == dimension for vector in cold)
+
+
+def test_hash_providers_of_different_dimension_keep_their_own_memo():
+    small, large = HashEmbeddingProvider(3), HashEmbeddingProvider(256)
+    for _ in range(2):
+        for text in EMBED_TEXTS:
+            assert small.embed(text) == oracle_embed(text, 3)
+            assert large.embed(text) == oracle_embed(text, 256)
+
+
+@pytest.mark.parametrize("dimension", [True, False, 0, -3, 2.5, 256.0, "8", None])
+def test_hash_provider_rejects_a_dimension_that_is_not_a_positive_integer(dimension):
+    with pytest.raises(ValueError) as info:
+        HashEmbeddingProvider(dimension)
+    assert str(info.value) == f"dimension must be an integer >= 1, got {dimension!r}"
+
+
 def test_provider_similarity_reflects_token_overlap():
     same = cosine_similarity(
         PROVIDER.embed("approve the request"), PROVIDER.embed("approve the request now")
@@ -136,3 +190,47 @@ def test_score_bounded_by_factors(pairs):
     if result.mean_similarity >= 0:
         assert result.score <= result.agreement_rate + 1e-15
         assert result.score <= max(result.mean_similarity, 0.0) + 1e-15
+
+
+def many_pairs_trace(seed: int = 20261018, count: int = 2000) -> str:
+    """request_pair lines: half reuse a 50-entry pool of pairs, half are fresh;
+    text_b rewords text_a, so the similarities spread over (0, 1]."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(300)] + ["Vault", "ACCESS", "straße", "請求", "résumé"]
+
+    def new_pair() -> tuple[str, str]:
+        tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+        reworded = [t.upper() if rng.random() < 0.2 else t for t in tokens if rng.random() < 0.8]
+        reworded += [rng.choice(vocab) for _ in range(rng.randint(0 if reworded else 1, 3))]
+        return " ".join(tokens), " ".join(reworded)
+
+    pool = [new_pair() for _ in range(50)]
+    lines = []
+    for _ in range(count):
+        a, b = rng.choice(pool) if rng.random() < 0.5 else new_pair()
+        decision_a = rng.choice(["allow", "deny"])
+        decision_b = decision_a if rng.random() < 0.9 else "review"
+        lines.append(json.dumps({
+            "type": "request_pair", "text_a": a, "text_b": b,
+            "decision_a": decision_a, "decision_b": decision_b,
+        }))
+    return "\n".join(lines) + "\n"
+
+
+# exit code, report sha256 and mean_similarity of many_pairs_trace(), recorded
+# before the embedder memoized tokens and the cosine skipped zero entries
+PINNED_MANY_PAIRS = (
+    0, "519524e83ab5b34940861c2880e4bb72735c9851a967bfa273ef9b64848ee299", "0x1.8fb142cfef8dbp-1"
+)
+
+
+def test_report_bytes_of_many_pairs_are_pinned(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    trace.write_text(many_pairs_trace(), encoding="utf-8")
+    code = main(["evaluate", "--input", str(trace), "--output", str(report_path)])
+    document = json.loads(report_path.read_text())
+    metadata = document["dimensions"]["CONSISTENCY"]["metadata"]
+    assert metadata["pair_count"] == 2000
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert (code, digest, metadata["mean_similarity"].hex()) == PINNED_MANY_PAIRS

@@ -259,3 +259,109 @@ def test_entropy_matches_scipy(counts):
 
 def test_fractional_ranks_average_ties():
     assert fractional_ranks([10.0, 20.0, 10.0, 30.0]) == [1.5, 3.0, 1.5, 4.0]
+
+
+# --- differential check of the sparse cosine against the dense formula -------
+
+def dense_cosine(u, v):
+    # the formula cosine_similarity used before it skipped zero entries
+    if len(u) != len(v):
+        raise UndefinedStatisticError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    if len(u) < 1:
+        raise UndefinedStatisticError("vectors must have dimension >= 1")
+    for name, values in (("u", u), ("v", v)):
+        for x in values:
+            if not math.isfinite(x):
+                raise UndefinedStatisticError(f"{name} contains a non-finite value: {x!r}")
+    su = math.fsum(a * a for a in u)
+    sv = math.fsum(b * b for b in v)
+    if su == 0.0 or sv == 0.0:
+        raise UndefinedStatisticError("cosine similarity of a zero vector is undefined")
+    if all(a == b for a, b in zip(u, v)):
+        return 1.0
+    dot = math.fsum(a * b for a, b in zip(u, v))
+    return min(1.0, max(-1.0, dot / (math.sqrt(su) * math.sqrt(sv))))
+
+
+def outcome(f, u, v):
+    try:
+        return f(u, v).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# the nonzero entries: either sign, some so small that their squares
+# underflow, some so large that the sums overflow
+nonzero_entry = st.one_of(
+    st.floats(-100, 100).filter(bool),
+    st.floats(-1e-160, 1e-160).filter(bool),
+    st.sampled_from([1.3e154, -1.3e154, 1e200, -1e200, 1.7e308, -1.7e308, 5e-324, -5e-324]),
+)
+
+
+@st.composite
+def sparse_vectors(draw, n):
+    """Length n, mostly zeros of either sign, at least one nonzero entry."""
+    signs = draw(st.integers(0, 2**n - 1))
+    vector = [-0.0 if signs >> i & 1 else 0.0 for i in range(n)]
+    nonzero = st.dictionaries(st.integers(0, n - 1), nonzero_entry, min_size=1, max_size=12)
+    for i, x in draw(nonzero).items():
+        vector[i] = x
+    return vector
+
+
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(1, 300))
+    u = draw(sparse_vectors(n))
+    kind = draw(st.sampled_from(
+        ["independent"] * 3
+        + ["same support", "identical", "zero signs flipped", "superset", "zero", "longer"]
+    ))
+    if kind == "independent":
+        v = draw(sparse_vectors(n))
+    elif kind == "same support":
+        v = [draw(nonzero_entry) if x else x for x in u]
+    elif kind == "identical":
+        v = list(u)
+    elif kind == "zero signs flipped":
+        v = [-x if x == 0 else x for x in u]
+    elif kind == "superset":
+        v = [x or y for x, y in zip(u, draw(sparse_vectors(n)))]
+    elif kind == "zero":
+        v = [-0.0] * n
+    else:
+        v = u + draw(sparse_vectors(draw(st.integers(1, 3))))
+    bad = draw(st.sampled_from([None] * 5 + [float("nan"), float("inf"), float("-inf")]))
+    if bad is not None:
+        target = draw(st.sampled_from([u, v]))
+        target[draw(st.integers(0, len(target) - 1))] = bad
+    return u, v
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(vector_pairs())
+def test_sparse_cosine_is_bit_equal_to_the_dense_formula(uv):
+    u, v = uv
+    assert outcome(cosine_similarity, u, v) == outcome(dense_cosine, u, v)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ([], []),
+        ([1.0], [1.0, 0.0]),
+        ([0.0, -0.0], [1.0, 2.0]),
+        ([1.0, 2.0], [-0.0, 0.0]),
+        ([0.0, float("nan"), 1.0], [1.0, float("inf"), 0.0]),
+        ([1.0, 0.0], [0.0, float("-inf")]),
+        ([1e-200, 0.0], [1.0, 0.0]),
+        ([1.7e308, 1.7e308], [1.0, 1.0]),
+        ([0.0, -3.0, 0.0], [-0.0, -3.0, -0.0]),
+        ([1.0, 0.0], [0.0, 1.0]),
+        ([1.0, 0.0], [1.0, 2.0]),
+        ([-1.0, 0.0], [0.0, 1e-200]),
+    ],
+)
+def test_sparse_cosine_keeps_every_dense_result_and_message(u, v):
+    assert outcome(cosine_similarity, u, v) == outcome(dense_cosine, u, v)
