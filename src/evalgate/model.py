@@ -1,16 +1,19 @@
 """Core domain types: trace records, metric results, reports, configuration.
 
 Trace records arrive as a line-delimited JSON stream, one record per line,
-discriminated by a ``type`` field. All domain types are immutable value
-objects. Timestamps are integer ticks supplied by the trace. The engine
-times its scorers for stderr, but no wall-clock value reaches the report,
-so replays are deterministic.
+discriminated by a ``type`` field. The five trace records are slotted value
+objects: they check and normalise their fields on construction, the engine
+never mutates them, and they are not hashable. Metric results, reports and
+the configuration are frozen. Timestamps are integer ticks supplied by the
+trace. The engine times its scorers for stderr, but no wall-clock value
+reaches the report, so replays are deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from operator import itemgetter
@@ -40,6 +43,10 @@ class ToolCallState(str, Enum):
     FAILED = "FAILED"
 
 
+# Each state by its value; a member finds itself, since it equals its value.
+_STATES = {s.value: s for s in ToolCallState}
+
+
 class Dimension(str, Enum):
     CASCADE = "CASCADE"
     TOOL = "TOOL"
@@ -56,6 +63,8 @@ def _require_unit(name: str, value: float) -> float:
 
 
 def _require_real(name: str, value: Any) -> float:
+    if type(value) is float and value - value == 0.0:  # false for NaN and +-inf
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
     try:
@@ -67,18 +76,28 @@ def _require_real(name: str, value: Any) -> float:
     return number
 
 
+_FLOAT_MAX = sys.float_info.max
+
 # Ticks lie in [-MAX_TICK, MAX_TICK], so the difference of any two converts to a float.
 MAX_TICK = 2**1022
 
 
 def _require_tick(value: Any) -> None:
+    if type(value) is int and -MAX_TICK <= value <= MAX_TICK:
+        return
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError("timestamp must be an integer tick")
     if abs(value) > MAX_TICK:
         raise ValidationError("timestamp must be an integer tick in [-2**1022, 2**1022]")
 
 
-@dataclass(frozen=True, slots=True)
+# The records below check every field in __post_init__. Each check of a
+# number starts with an exact-type test that accepts a subset of what the
+# general check accepts; anything else takes the general check, which gives
+# the error text. A field is written back only when its value changes type.
+
+
+@dataclass(slots=True)
 class StepResult:
     """One pipeline step with its self-reported confidence."""
 
@@ -93,10 +112,12 @@ class StepResult:
             raise ValidationError(f"step_index must be >= 1, got {self.step_index}")
         if not isinstance(self.step_name, str):
             raise ValidationError("step_name must be a string")
-        object.__setattr__(self, "confidence", _require_unit("confidence", self.confidence))
+        confidence = self.confidence
+        if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
+            self.confidence = _require_unit("confidence", confidence)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ToolCallRecord:
     """One tool invocation outcome. PARTIAL means schema-valid but incomplete."""
 
@@ -107,21 +128,23 @@ class ToolCallRecord:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "state", ToolCallState(self.state))
-        except ValueError:
+            self.state = _STATES[self.state]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValidationError(
                 f"state must be one of {[s.value for s in ToolCallState]}, got {self.state!r}"
             ) from None
         if not isinstance(self.tool_name, str):
             raise ValidationError("tool_name must be a string")
-        latency = _require_real("latency_ms", self.latency_ms)
-        if latency < 0:
-            raise ValidationError(f"latency_ms must be >= 0, got {latency}")
-        object.__setattr__(self, "latency_ms", latency)
+        latency = self.latency_ms
+        if type(latency) is not float or not 0.0 <= latency <= _FLOAT_MAX:
+            latency = _require_real("latency_ms", latency)
+            if latency < 0:
+                raise ValidationError(f"latency_ms must be >= 0, got {latency}")
+            self.latency_ms = latency
         _require_tick(self.timestamp)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OutputEvent:
     """One categorized output, optionally tagged with an external quality signal."""
 
@@ -136,13 +159,12 @@ class OutputEvent:
         if not isinstance(self.session_id, str):
             raise ValidationError("session_id must be a string")
         _require_tick(self.timestamp)
-        if self.quality_signal is not None:
-            object.__setattr__(
-                self, "quality_signal", _require_unit("quality_signal", self.quality_signal)
-            )
+        quality = self.quality_signal
+        if quality is not None and (type(quality) is not float or not 0.0 <= quality <= 1.0):
+            self.quality_signal = _require_unit("quality_signal", quality)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AttributionCase:
     """A decision's claimed feature attribution, ranked by descending weight."""
 
@@ -154,9 +176,10 @@ class AttributionCase:
         if not isinstance(self.feature_names, (list, tuple)) or \
                 not isinstance(self.claimed_weights, (list, tuple)):
             raise ValidationError("feature_names and claimed_weights must be lists")
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        if type(self.feature_names) is not tuple:
+            self.feature_names = tuple(self.feature_names)
         weights = tuple(_require_real("claimed_weights", w) for w in self.claimed_weights)
-        object.__setattr__(self, "claimed_weights", weights)
+        self.claimed_weights = weights
         if len(self.feature_names) != len(weights):
             raise ValidationError("feature_names and claimed_weights must have equal length")
         if len(weights) < 2:
@@ -167,10 +190,12 @@ class AttributionCase:
             raise ValidationError("claimed_weights must be >= 0")
         if any(a < b for a, b in zip(weights, weights[1:])):
             raise ValidationError("claimed_weights must be non-increasing")
-        object.__setattr__(self, "decision_value", _require_real("decision_value", self.decision_value))
+        decision = self.decision_value
+        if type(decision) is not float or decision - decision != 0.0:
+            self.decision_value = _require_real("decision_value", decision)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RequestPair:
     """Two surface forms of one request, with the decision each received."""
 
@@ -349,7 +374,9 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
             f"{record_type} record missing field {exc.args[0]!r}", line_number
         ) from None
     try:
-        return cls(*values, **{name: payload[name] for name in optional if name in payload})
+        if optional:
+            return cls(*values, **{name: payload[name] for name in optional if name in payload})
+        return cls(*values)
     except ValidationError as exc:
         if line_number is not None:
             raise ValidationError(f"line {line_number}: {exc}") from exc
