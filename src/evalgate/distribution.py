@@ -1,17 +1,22 @@
-"""Distribution health over a sliding window of categorized outputs.
+"""Distribution health over windows of categorized outputs.
 
-Three sub-signals: normalized entropy of the window's category distribution,
-diversity (distinct categories per window slot), and repeat rate (largest
-single-category share among the most recent min(n, k_top) events). Their
-weighted blend is the dimension score. Entropy narrows before accuracy
-moves, which is what makes this an early-warning signal.
+A window is the last window_size output events (fewer before that many have
+arrived); the evaluator scores one after every window_size events and one
+more at the end of the stream. Three sub-signals: normalized entropy of the
+window's category distribution, diversity (distinct categories per window
+slot), and repeat rate (largest single-category share among the most recent
+min(n, k_top) events). Their weighted blend is the dimension score. Entropy
+narrows before accuracy moves, which is what makes this an early-warning
+signal.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from .model import EvalConfig, OutputEvent
@@ -39,56 +44,23 @@ class DistributionSnapshot:
         }
 
 
-class DistributionWindow:
-    """Ring buffer of the most recent ``capacity`` output events.
-
-    Category counts are maintained incrementally; observe() is single-writer.
-    capacity must be >= 1.
-    """
-
-    def __init__(self, capacity: int = 100):
-        self.capacity = capacity
-        self._events: deque[OutputEvent] = deque()
-        self._counts: Counter[str] = Counter()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def events(self) -> tuple[OutputEvent, ...]:
-        return tuple(self._events)
-
-    @property
-    def category_counts(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def observe(self, event: OutputEvent) -> None:
-        self._events.append(event)
-        self._counts[event.category] += 1
-        if len(self._events) > self.capacity:
-            evicted = self._events.popleft()
-            self._counts[evicted.category] -= 1
-            if self._counts[evicted.category] == 0:
-                del self._counts[evicted.category]
-
-
-def snapshot(window: DistributionWindow, config: EvalConfig) -> DistributionSnapshot:
-    """Compute the current window's health signals.
+def snapshot(events: Sequence[OutputEvent], config: EvalConfig) -> DistributionSnapshot:
+    """Compute the health signals of one window of output events.
 
     Entropy normalizes over the categories present in the window, so any
     uniform window scores 1 regardless of catalogue size. Diversity divides
-    by the configured capacity, not the fill. The window must be non-empty.
+    by the configured window_size, not the fill. events must be non-empty;
+    a list slice and a deque both serve.
     """
-    fill = len(window)
-    counts = window.category_counts
+    fill = len(events)
+    counts = Counter(e.category for e in events)
     distinct = len(counts)
 
     entropy = normalized_entropy(list(counts.values()), distinct)
-    diversity = distinct / window.capacity
+    diversity = distinct / config.window_size
 
     tail_len = min(fill, config.k_top)
-    tail = list(window.events)[-tail_len:]
-    tail_counts = Counter(e.category for e in tail)
+    tail_counts = Counter(e.category for e in islice(events, fill - tail_len, None))
     repeat_rate = max(tail_counts.values()) / tail_len
 
     score = (
@@ -97,7 +69,7 @@ def snapshot(window: DistributionWindow, config: EvalConfig) -> DistributionSnap
         + config.gamma * (1.0 - repeat_rate)
     )
 
-    qualities = [e.quality_signal for e in window.events if e.quality_signal is not None]
+    qualities = [e.quality_signal for e in events if e.quality_signal is not None]
     mean_quality = math.fsum(qualities) / len(qualities) if qualities else None
 
     return DistributionSnapshot(

@@ -8,7 +8,7 @@ Evaluation is sequential in fixed dimension order, so a given (stream,
 config) always produces the same report.
 
 MetricResult.confidence is the filled fraction of the dimension's evaluation
-window (calls/window_size for TOOL, fill/capacity for DISTRIBUTION) and 1.0
+window (calls/window_size for TOOL, fill/window_size for DISTRIBUTION) and 1.0
 for the dimensions that evaluate complete supplied units.
 """
 
@@ -21,7 +21,7 @@ from typing import Any
 
 from .cascade import CascadeResult, InsufficientTraceError, evaluate_cascade
 from .consistency import EmbeddingProvider, HashEmbeddingProvider, consistency_score
-from .distribution import DistributionSnapshot, DistributionWindow, snapshot
+from .distribution import snapshot
 from .explanation import ProbeContext, evaluate_explanation
 from .model import (
     RECORD_TYPES,
@@ -92,16 +92,16 @@ def _evaluate_cascade_dimension(
 
 def _quality_series_for_calls(
     calls: Sequence[ToolCallRecord], events: Sequence[OutputEvent]
-) -> tuple[list[float] | None, float | None]:
+) -> list[float] | None:
     """Bucket quality-carrying events over the calls' tick span.
 
     Buckets with no quality event inherit the previous bucket's value
-    (leading gaps take the first observed value). Returns (series, baseline)
-    or (None, None) when no event carries a quality signal.
+    (leading gaps take the first observed value). Returns None when no
+    event carries a quality signal.
     """
     tagged = [e for e in events if e.quality_signal is not None]
     if not tagged:
-        return None, None
+        return None
     call_ticks = [c.timestamp for c in calls]
     lo, hi = min(call_ticks), max(call_ticks)
     assignments = bucket_indices(
@@ -113,14 +113,13 @@ def _quality_series_for_calls(
         sums[b] += event.quality_signal  # type: ignore[operator]
         counts[b] += 1
     means = [sums[b] / counts[b] if counts[b] else None for b in range(LATENCY_BUCKET_COUNT)]
-    first_known = next(m for m in means if m is not None)
     series: list[float] = []
-    last = first_known
+    last = next(m for m in means if m is not None)
     for mean in means:
         if mean is not None:
             last = mean
         series.append(last)
-    return series, first_known
+    return series
 
 
 def _evaluate_tool_dimension(
@@ -129,8 +128,8 @@ def _evaluate_tool_dimension(
     config: EvalConfig,
     diagnostics: StreamDiagnostics,
 ) -> Outcome:
-    quality, baseline = _quality_series_for_calls(calls, events)
-    result = evaluate_reliability(calls, quality, baseline, config)
+    quality = _quality_series_for_calls(calls, events)
+    result = evaluate_reliability(calls, quality, config)
     if result.rho_fallback is not None:
         diagnostics.evaluation_notes.append(f"tool: {result.rho_fallback}")
     return result.score, min(1.0, len(calls) / config.window_size), result.metadata()
@@ -139,17 +138,11 @@ def _evaluate_tool_dimension(
 def _evaluate_distribution_dimension(
     events: Sequence[OutputEvent], config: EvalConfig
 ) -> Outcome:
-    window = DistributionWindow(capacity=config.window_size)
-    snapshots: list[DistributionSnapshot] = []
-    since_snapshot = 0
-    for event in events:
-        window.observe(event)
-        since_snapshot += 1
-        if since_snapshot == config.window_size:
-            snapshots.append(snapshot(window, config))
-            since_snapshot = 0
-    if since_snapshot or not snapshots:
-        snapshots.append(snapshot(window, config))
+    # A snapshot every window_size events and one at the end, each over the
+    # last window_size events seen so far.
+    size, n = config.window_size, len(events)
+    ends = [min(end, n) for end in range(size, n + size, size)]
+    snapshots = [snapshot(events[max(0, end - size):end], config) for end in ends]
     current = snapshots[-1]
     metadata = current.metadata()
     metadata["windows"] = [

@@ -130,14 +130,14 @@ def count_states(calls: Sequence[ToolCallRecord]) -> dict[str, int]:
 def evaluate_reliability(
     calls: Sequence[ToolCallRecord],
     quality: Sequence[float] | None,
-    baseline_quality: float | None,
     config: EvalConfig,
 ) -> ReliabilityResult:
     """Assemble the full reliability result for one window of calls.
 
     ``quality`` is the time-bucketed quality series aligned to the calls'
-    tick span; when it is missing or too sparse for a correlation, rho falls
-    back to 0 and the reason is recorded. The silent-degradation flag
+    tick span, and its first point is the baseline that quality drops are
+    measured from; when it is missing or too sparse for a correlation, rho
+    falls back to 0 and the reason is recorded. The silent-degradation flag
     compares consecutive quality points by default, or the last point
     against the first when acc_delta_cumulative is set.
     """
@@ -145,12 +145,12 @@ def evaluate_reliability(
     rho = 0.0
     fallback: str | None = None
     bucket_count = 0
-    if quality is None or baseline_quality is None:
+    if quality is None:
         fallback = "no quality signal in window"
     else:
         bucket_count = len(quality)
         try:
-            rho = latency_quality_correlation(calls, quality, baseline_quality)
+            rho = latency_quality_correlation(calls, quality, quality[0])
         except UndefinedStatisticError as exc:
             rho = 0.0
             fallback = str(exc)

@@ -230,6 +230,42 @@ def test_report_bytes_with_notes_and_parse_errors_are_pinned(tmp_path):
     )
 
 
+def _output_trace(events: int) -> str:
+    """Output records over 11 categories, a quality signal on every other one."""
+    return "".join(
+        f'{{"type":"output","category":"c{i * i % 11}","session_id":"s","timestamp":{i}'
+        + (f',"quality_signal":{i % 10 / 10}' if i % 2 else "")
+        + "}\n"
+        for i in range(events)
+    )
+
+
+# (events, config) -> (exit code, report sha256): a short last window, one
+# event per window, one window larger than the trace, and the default config.
+WINDOW_CADENCE_DIGESTS = {
+    (13, '{"window_size": 5, "k_top": 2}'): (
+        0, "e265cba022d67866295522df2a61d710658bef53eec4adf6f639616809ed951b"),
+    (13, '{"window_size": 1}'): (
+        1, "a6a5aaabdf20511c132ebb27d2913a638631afd4e30f1962f78a225fa7410c10"),
+    (13, '{"window_size": 1000000000000000000000000000000}'): (
+        0, "97190c6c76016b5275160dc456c672f53eb537842ebf0b626b6f1bb83510d5b1"),
+    (250, "{}"): (
+        0, "39c6d40a3f8d495c8c5316c8ed22a94624aff51caf3845e5088fd324eb181564"),
+}
+
+
+@pytest.mark.parametrize("events, config", list(WINDOW_CADENCE_DIGESTS))
+def test_report_bytes_for_window_cadences_are_pinned(tmp_path, events, config):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(_output_trace(events))
+    (tmp_path / "c.json").write_text(config)
+    report_path = tmp_path / "r.json"
+    code = run_cli("evaluate", "--input", str(trace), "--config", str(tmp_path / "c.json"),
+                   "--output", str(report_path))
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert (code, digest) == WINDOW_CADENCE_DIGESTS[events, config]
+
+
 # --- load_config -------------------------------------------------------------
 
 def test_load_config_defaults_when_absent_or_empty(tmp_path):

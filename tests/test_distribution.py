@@ -1,12 +1,17 @@
-"""Sliding-window distribution health: window semantics and sub-signals."""
+"""Windowed distribution health: window semantics and sub-signals."""
 
 from __future__ import annotations
+
+import math
+from collections import Counter, deque
+from typing import Any
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evalgate.distribution import DistributionWindow, snapshot
+from evalgate.distribution import DistributionSnapshot, snapshot
+from evalgate.evaluator import _evaluate_distribution_dimension
 from evalgate.model import EvalConfig, OutputEvent
 from evalgate.stats import normalized_entropy
 
@@ -17,56 +22,51 @@ def event(category: str, ts: int = 0, quality: float | None = None) -> OutputEve
     return OutputEvent(category=category, session_id="s", timestamp=ts, quality_signal=quality)
 
 
-def fill_window(categories: list[str], capacity: int = 100) -> DistributionWindow:
-    window = DistributionWindow(capacity)
-    for i, c in enumerate(categories):
-        window.observe(event(c, ts=i))
-    return window
+def outputs(categories: list[str]) -> list[OutputEvent]:
+    """The window the default config scores over these categories: the last 100."""
+    return [event(c, ts=i) for i, c in enumerate(categories)][-CFG.window_size:]
 
 
-def test_observe_appends_and_evicts():
-    window = DistributionWindow(3)
-    window.observe(event("a"))
-    assert len(window) == 1
-    for c in ("b", "c", "d"):
-        window.observe(event(c))
-    assert len(window) == 3
-    assert [e.category for e in window.events] == ["b", "c", "d"]
-    assert window.category_counts == {"b": 1, "c": 1, "d": 1}
+def test_each_window_covers_the_last_window_size_events():
+    cfg = EvalConfig(window_size=3)
+    events = outputs(["a", "a", "a", "b", "c", "c", "d"])
+    _, confidence, metadata = _evaluate_distribution_dimension(events, cfg)
+    # snapshots after events 3 and 6, and one at the end over events 5-7
+    assert [(w["window_fill"], w["distinct_categories"]) for w in metadata["windows"]] == [
+        (3, 1), (3, 2), (3, 2)
+    ]
+    assert confidence == 1.0
 
 
-def test_counts_stay_consistent_under_eviction():
-    window = DistributionWindow(4)
-    for i in range(50):
-        window.observe(event(f"c{i % 3}", ts=i))
-    from collections import Counter
-    assert window.category_counts == dict(Counter(e.category for e in window.events))
+def test_snapshot_of_a_deque_equals_snapshot_of_a_list():
+    events = [event(f"c{i % 7}", ts=i, quality=i / 50 if i % 3 else None) for i in range(50)]
+    cfg = EvalConfig(window_size=50, k_top=9)
+    assert snapshot(deque(events), cfg) == snapshot(events, cfg)
 
 
 def test_diversity_is_distinct_over_capacity():
     cats = [f"c{i % 20}" for i in range(100)]
-    assert snapshot(fill_window(cats), CFG).diversity == 0.200
+    assert snapshot(outputs(cats), CFG).diversity == 0.200
     cats8 = [f"c{i % 8}" for i in range(100)]
-    assert snapshot(fill_window(cats8), CFG).diversity == 0.080
+    assert snapshot(outputs(cats8), CFG).diversity == 0.080
     cats3 = [f"c{i % 3}" for i in range(100)]
-    assert snapshot(fill_window(cats3), CFG).diversity == 0.030
+    assert snapshot(outputs(cats3), CFG).diversity == 0.030
 
 
 def test_repeat_rate_counts_recent_tail_only():
     # 80 varied events then 20 of one category: tail of k_top=20 is pure
     cats = [f"c{i % 10}" for i in range(80)] + ["hot"] * 20
-    snap = snapshot(fill_window(cats), CFG)
+    snap = snapshot(outputs(cats), CFG)
     assert snap.repeat_rate == 1.000
 
 
 def test_repeat_rate_short_window_uses_fill():
-    snap = snapshot(fill_window(["a", "a", "b"]), CFG)
+    snap = snapshot(outputs(["a", "a", "b"]), CFG)
     assert snap.repeat_rate == pytest.approx(2 / 3)
 
 
 def test_single_category_window_degenerates():
-    window = fill_window(["only"] * 40)
-    snap = snapshot(window, CFG)
+    snap = snapshot(outputs(["only"] * 40), CFG)
     assert snap.entropy == 0.0
     assert snap.diversity == pytest.approx(1 / 100)
     assert snap.repeat_rate == 1.0
@@ -75,30 +75,27 @@ def test_single_category_window_degenerates():
 
 def test_uniform_window_maximal_entropy():
     cats = [f"c{i % 25}" for i in range(100)]
-    snap = snapshot(fill_window(cats), CFG)
+    snap = snapshot(outputs(cats), CFG)
     assert snap.entropy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_score_is_weighted_blend():
     cats = [f"c{i % 4}" for i in range(100)]
-    snap = snapshot(fill_window(cats), CFG)
+    snap = snapshot(outputs(cats), CFG)
     expected = CFG.alpha * snap.entropy + CFG.beta * snap.diversity + CFG.gamma * (1 - snap.repeat_rate)
     assert snap.score == pytest.approx(expected, abs=1e-15)
 
 
 def test_mean_quality_averages_tagged_events_only():
-    window = DistributionWindow(10)
-    window.observe(event("a", quality=0.8))
-    window.observe(event("b"))
-    window.observe(event("c", quality=0.9))
-    snap = snapshot(window, CFG)
+    events = [event("a", quality=0.8), event("b"), event("c", quality=0.9)]
+    snap = snapshot(events, CFG)
     assert snap.mean_quality == pytest.approx(0.85)
     assert snap.window_fill == 3
     assert snap.distinct_categories == 3
 
 
 def test_metadata_keys():
-    snap = snapshot(fill_window(["a", "b"]), CFG)
+    snap = snapshot(outputs(["a", "b"]), CFG)
     assert set(snap.metadata()) == {
         "entropy", "diversity", "repeat_rate", "window_fill",
         "distinct_categories", "mean_quality",
@@ -113,7 +110,7 @@ categories_strategy = st.lists(
 @settings(max_examples=500, deadline=None)
 @given(categories_strategy)
 def test_signals_stay_in_unit_interval(categories):
-    snap = snapshot(fill_window(categories), CFG)
+    snap = snapshot(outputs(categories), CFG)
     assert 0.0 <= snap.entropy <= 1.0
     assert 0.0 < snap.diversity <= 1.0
     assert 0.0 < snap.repeat_rate <= 1.0
@@ -127,8 +124,8 @@ def test_merging_categories_never_raises_diversity(categories):
     merged_into = sorted(set(categories))[0]
     merge_from = sorted(set(categories))[1]
     merged = [merged_into if c == merge_from else c for c in categories]
-    before = snapshot(fill_window(categories), CFG)
-    after = snapshot(fill_window(merged), CFG)
+    before = snapshot(outputs(categories), CFG)
+    after = snapshot(outputs(merged), CFG)
     assert after.diversity <= before.diversity
 
 
@@ -151,8 +148,112 @@ def test_merging_categories_never_raises_entropy_at_fixed_k(counts, data):
 @settings(max_examples=300, deadline=None)
 @given(categories_strategy, st.randoms(use_true_random=False))
 def test_entropy_ignores_arrival_order_of_counts(categories, rng):
-    window = fill_window(categories, capacity=200)
-    counts = list(window.category_counts.values())
+    counts = list(Counter(categories).values())
     shuffled = list(counts)
     rng.shuffle(shuffled)
     assert normalized_entropy(counts, len(counts)) == normalized_entropy(shuffled, len(shuffled))
+
+
+# --- the windows against the ring buffer they replaced -----------------------
+
+class RingBufferWindow:
+    """The former incremental window: a deque of the most recent ``capacity``
+    events with category counts kept up to date on every append and eviction."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.events: deque[OutputEvent] = deque()
+        self.counts: Counter[str] = Counter()
+
+    def observe(self, event: OutputEvent) -> None:
+        self.events.append(event)
+        self.counts[event.category] += 1
+        if len(self.events) > self.capacity:
+            evicted = self.events.popleft()
+            self.counts[evicted.category] -= 1
+            if self.counts[evicted.category] == 0:
+                del self.counts[evicted.category]
+
+
+def reference_snapshot(window: RingBufferWindow, config: EvalConfig) -> DistributionSnapshot:
+    fill = len(window.events)
+    counts = dict(window.counts)
+    distinct = len(counts)
+    entropy = normalized_entropy(list(counts.values()), distinct)
+    diversity = distinct / window.capacity
+    tail_len = min(fill, config.k_top)
+    tail_counts = Counter(e.category for e in list(window.events)[-tail_len:])
+    repeat_rate = max(tail_counts.values()) / tail_len
+    score = (
+        config.alpha * entropy
+        + config.beta * diversity
+        + config.gamma * (1.0 - repeat_rate)
+    )
+    qualities = [e.quality_signal for e in window.events if e.quality_signal is not None]
+    mean_quality = math.fsum(qualities) / len(qualities) if qualities else None
+    return DistributionSnapshot(
+        entropy=entropy,
+        diversity=diversity,
+        repeat_rate=repeat_rate,
+        score=min(1.0, max(0.0, score)),
+        window_fill=fill,
+        distinct_categories=distinct,
+        mean_quality=mean_quality,
+    )
+
+
+def reference_distribution_dimension(events, config):
+    window = RingBufferWindow(config.window_size)
+    snapshots = []
+    since_snapshot = 0
+    for e in events:
+        window.observe(e)
+        since_snapshot += 1
+        if since_snapshot == config.window_size:
+            snapshots.append(reference_snapshot(window, config))
+            since_snapshot = 0
+    if since_snapshot or not snapshots:
+        snapshots.append(reference_snapshot(window, config))
+    current = snapshots[-1]
+    metadata = current.metadata()
+    metadata["windows"] = [
+        {"window": i + 1, **snap.metadata(), "score": snap.score}
+        for i, snap in enumerate(snapshots)
+    ]
+    return current.score, current.window_fill / config.window_size, metadata
+
+
+def exact(value: Any) -> Any:
+    """The value with every float replaced by its float.hex, for bit equality."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return value
+
+
+@st.composite
+def distribution_inputs(draw):
+    n_categories = draw(st.integers(1, 30))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_categories - 1),
+                  st.one_of(st.none(), st.floats(0.0, 1.0))),
+        min_size=1, max_size=400,
+    ))
+    events = [event(f"c{c}", ts=i, quality=q) for i, (c, q) in enumerate(rows)]
+    config = EvalConfig(
+        window_size=draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 100])),
+        k_top=draw(st.integers(1, 25)),
+    )
+    return events, config
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(distribution_inputs())
+def test_windows_match_the_ring_buffer_bit_for_bit(inputs):
+    events, config = inputs
+    assert exact(_evaluate_distribution_dimension(events, config)) == exact(
+        reference_distribution_dimension(events, config)
+    )

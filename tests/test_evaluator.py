@@ -16,6 +16,8 @@ from evalgate.model import (
     OutputEvent,
     RequestPair,
     StepResult,
+    ToolCallRecord,
+    ToolCallState,
     serialize_trace_record,
 )
 from evalgate.simulate import (
@@ -138,6 +140,22 @@ def test_aggregate_respects_weights_renormalized():
     overall, passed = aggregate(results, cfg)
     assert overall == pytest.approx((3 * 0.8 + 0.4) / 4, abs=1e-12)
     assert passed
+
+
+def test_aggregate_is_the_unweighted_mean_when_every_present_weight_is_zero():
+    cfg = EvalConfig(aggregate_weights={"tool": 0.0, "distribution": 0.0})
+    results = {
+        Dimension.TOOL: metric(0.9, True),
+        Dimension.DISTRIBUTION: metric(0.3, False),
+    }
+    overall, _ = aggregate(results, cfg)
+    assert overall == pytest.approx(0.6, abs=1e-12)
+
+    states = [ToolCallState.PARTIAL] * 2 + [ToolCallState.SUCCESS] * 8
+    calls = [ToolCallRecord("svc", state, 10.0, i) for i, state in enumerate(states)]
+    report = evaluate_records(calls, EvalConfig(aggregate_weights={"tool": 0}))
+    assert set(report.per_dimension) == {Dimension.TOOL}
+    assert report.overall_score == report.per_dimension[Dimension.TOOL].score == 0.8
 
 
 def test_threshold_boundary_passes_at_equality():

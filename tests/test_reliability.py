@@ -122,7 +122,7 @@ def test_fm2_signature_flags_at_first_crossing_and_never_earlier():
 
 def test_evaluate_reliability_assembles_metadata():
     stage = generate_fm2(42).stages[1]
-    result = evaluate_reliability(stage.calls, stage.quality, stage.baseline_quality, CFG)
+    result = evaluate_reliability(stage.calls, stage.quality, CFG)
     assert result.prr == pytest.approx(0.220, abs=1e-15)
     assert result.call_counts == {"SUCCESS": 39, "PARTIAL": 11, "FAILED": 0}
     assert result.score == pytest.approx(
@@ -134,7 +134,7 @@ def test_evaluate_reliability_assembles_metadata():
 
 def test_evaluate_reliability_without_quality_falls_back():
     calls = calls_with_partials(20, 5)
-    result = evaluate_reliability(calls, None, None, CFG)
+    result = evaluate_reliability(calls, None, CFG)
     assert result.rho_lq == 0.0
     assert result.rho_fallback is not None
     assert not result.silent_degradation
@@ -145,8 +145,8 @@ def test_evaluate_reliability_cumulative_mode():
     quality = [0.87, 0.868, 0.865, 0.862, 0.86, 0.858, 0.855, 0.852, 0.85, 0.84]
     stage_cfg = EvalConfig()
     cumulative_cfg = EvalConfig(acc_delta_cumulative=True)
-    stepwise = evaluate_reliability(calls, quality, 0.87, stage_cfg)
-    cumulative = evaluate_reliability(calls, quality, 0.87, cumulative_cfg)
+    stepwise = evaluate_reliability(calls, quality, stage_cfg)
+    cumulative = evaluate_reliability(calls, quality, cumulative_cfg)
     # every step move is inside the band, but first-to-last is not
     assert stepwise.silent_degradation
     assert not cumulative.silent_degradation

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from evalgate.model import EvalConfig, OutputEvent, parse_trace_record, serialize_trace_record
-from evalgate.distribution import DistributionWindow, snapshot
+from evalgate.distribution import snapshot
 from evalgate.reliability import partial_response_rate
 from evalgate.simulate import (
     FM1_VARIANTS,
@@ -82,12 +82,7 @@ def test_fm3_quality_sequence_pinned_for_any_seed():
 
 def test_fm3_window_structure():
     events = generate_fm3(42)
-    window = DistributionWindow(100)
-    snaps = []
-    for i, event in enumerate(events, 1):
-        window.observe(event)
-        if i % 100 == 0:
-            snaps.append(snapshot(window, CFG))
+    snaps = [snapshot(events[w * 100:(w + 1) * 100], CFG) for w in range(5)]
     assert [s.diversity for s in snaps] == [0.200, 0.200, 0.080, 0.080, 0.030]
     assert snaps[4].repeat_rate == 1.000
     assert snaps[0].entropy >= 0.95 and snaps[1].entropy >= 0.95
