@@ -22,7 +22,7 @@ from typing import Any
 from .cascade import CascadeResult, InsufficientTraceError, evaluate_cascade
 from .consistency import EmbeddingProvider, HashEmbeddingProvider, consistency_score
 from .distribution import snapshot
-from .explanation import ProbeContext, evaluate_explanation
+from .explanation import ExplanationResult, ProbeContext, evaluate_explanation
 from .model import (
     RECORD_TYPES,
     AttributionCase,
@@ -41,7 +41,7 @@ from .model import (
     parse_trace_record,
 )
 from .reliability import LATENCY_BUCKET_COUNT, bucket_indices, evaluate_reliability
-from .stats import UndefinedStatisticError
+from .stats import UndefinedStatisticError, fractional_ranks
 
 # A scored dimension: (score, confidence, metadata).
 Outcome = tuple[float, float, dict[str, Any]]
@@ -158,21 +158,34 @@ def _evaluate_explanation_dimension(
     probe_context: ProbeContext | None,
     config: EvalConfig,
 ) -> Outcome:
+    """Mean ACS over the cases; the worst case's metadata.
+
+    The probe context is fixed for the call, so a case's impacts depend only
+    on its feature names, and ACS sees the claimed weights only through their
+    fractional ranks. So each distinct (feature names, ranks) is scored once,
+    with one probe determinism re-check, and every case that repeats it
+    reuses the result. The memo is local to the call: another call may bring
+    another probe.
+    """
     if probe_context is None:
         raise EvaluationError(
             "attribution records present but no probe context supplied; "
             "pass a ProbeContext to evaluate the EXPLANATION dimension"
         )
-    results = [
-        evaluate_explanation(
-            probe_context.probe,
-            case,
-            probe_context.baseline_values,
-            probe_context.original_values,
-            config,
-        )
-        for case in cases
-    ]
+    memo: dict[tuple[tuple[str, ...], tuple[float, ...]], ExplanationResult] = {}
+    results: list[ExplanationResult] = []
+    for case in cases:
+        key = (case.feature_names, tuple(fractional_ranks(case.claimed_weights)))
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = evaluate_explanation(
+                probe_context.probe,
+                case,
+                probe_context.baseline_values,
+                probe_context.original_values,
+                config,
+            )
+        results.append(result)
     score = sum(r.acs for r in results) / len(results)
     worst = min(results, key=lambda r: r.acs)
     return score, 1.0, worst.metadata()

@@ -88,7 +88,10 @@ def perturbation_impacts(
             raise EvaluationError(f"probe failed perturbing {name!r}: {exc}") from exc
         impacts.append(abs(base - moved))
 
-    restored = probe.predict(dict(original_values))
+    try:
+        restored = probe.predict(dict(original_values))
+    except Exception as exc:
+        raise EvaluationError(f"probe failed on unperturbed input: {exc}") from exc
     if abs(restored - base) > _DETERMINISM_TOL:
         raise EvaluationError(
             f"probe is not deterministic: {base!r} vs {restored!r} on equal inputs"

@@ -166,7 +166,8 @@ class OutputEvent:
 
 @dataclass(slots=True)
 class AttributionCase:
-    """A decision's claimed feature attribution, ranked by descending weight."""
+    """A decision's claimed attribution over distinct features, ranked by
+    descending weight."""
 
     feature_names: tuple[str, ...]
     claimed_weights: tuple[float, ...]
@@ -193,6 +194,8 @@ class AttributionCase:
         decision = self.decision_value
         if type(decision) is not float or decision - decision != 0.0:
             self.decision_value = _require_real("decision_value", decision)
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise ValidationError("feature_names must be distinct")
 
 
 @dataclass(slots=True)

@@ -230,6 +230,49 @@ def test_report_bytes_with_notes_and_parse_errors_are_pinned(tmp_path):
     )
 
 
+def _repeating_trace() -> str:
+    """Attribution records with tied weights whose (feature names, ranks)
+    repeats with other weights, and request pairs repeated in both orders."""
+    velocity, device, geography = "transaction_velocity", "device_age_days", "geography_risk_score"
+    attributions = [
+        ([velocity, device, geography], [0.5, 0.5, 0.1]),
+        ([geography, velocity], [0.4, 0.4]),
+        ([geography, device, velocity], [0.7, 0.2, 0.2]),
+        ([velocity, device, geography], [0.9, 0.9, 0.3]),  # the first key again
+        ([velocity, device, geography], [0.8, 0.3, 0.1]),  # same names, no tie
+        ([device, velocity], [0.6, 0.1]),
+        ([geography, velocity], [0.2, 0.2]),  # the second key again
+    ]
+    texts = [("refund my order", "please refund my order"),
+             ("close my account", "delete my account now"),
+             ("Refund MY order", "refund my order")]
+    lines = []
+    for i in range(60):
+        names, weights = attributions[i % len(attributions)]
+        lines.append(json.dumps({"type": "attribution", "feature_names": names,
+                                 "claimed_weights": weights, "decision_value": 0.5}))
+        a, b = texts[i % len(texts)]
+        if i % 4 == 1:
+            a, b = b, a
+        lines.append(json.dumps({"type": "request_pair", "text_a": a, "text_b": b,
+                                 "decision_a": "approve",
+                                 "decision_b": "escalate" if i % 9 == 0 else "approve"}))
+    return "\n".join(lines) + "\n"
+
+
+# exit code and report sha256 recorded before EXPLANATION scored each
+# distinct (feature names, ranks) once per run
+def test_report_bytes_with_repeated_attributions_and_pairs_are_pinned(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    report_path = tmp_path / "r.json"
+    trace.write_text(_repeating_trace())
+    code = run_cli("evaluate", "--input", str(trace), "--output", str(report_path))
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert (code, digest) == (
+        1, "933b96ae9c5841042f679e7811418c6262448c385fa8c26c9e7f8d606ce921ba"
+    )
+
+
 def _output_trace(events: int) -> str:
     """Output records over 11 categories, a quality signal on every other one."""
     return "".join(

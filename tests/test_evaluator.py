@@ -5,10 +5,14 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evalgate import evaluator
 from evalgate.evaluator import aggregate, evaluate_records, evaluate_stream, split_pipelines
-from evalgate.explanation import ProbeContext
+from evalgate.explanation import ProbeContext, evaluate_explanation
 from evalgate.model import (
+    AttributionCase,
     Dimension,
     EvalConfig,
     EvaluationError,
@@ -23,6 +27,7 @@ from evalgate.model import (
 from evalgate.simulate import (
     FM5_BASELINE_VALUES,
     FM5_ORIGINAL_VALUES,
+    LinearProbe,
     ScenarioSpec,
     generate,
     generate_fm1,
@@ -226,3 +231,140 @@ def test_tool_confidence_is_window_fill_fraction():
     few = [r for r in records if not isinstance(r, OutputEvent)][:25]
     report_few = evaluate_records(few, CFG)
     assert report_few.per_dimension[Dimension.TOOL].confidence == pytest.approx(0.25)
+
+
+# --- EXPLANATION: one probe run per distinct (feature names, ranks) ---------
+
+FIVE = ("f0", "f1", "f2", "f3", "f4")
+ONES = {name: 1.0 for name in FIVE}
+ZEROS = {name: 0.0 for name in FIVE}
+
+
+def _per_case_explanation(cases, probe_context, config):
+    """The EXPLANATION scorer before the memo: every case runs the probe."""
+    results = [
+        evaluate_explanation(
+            probe_context.probe,
+            case,
+            probe_context.baseline_values,
+            probe_context.original_values,
+            config,
+        )
+        for case in cases
+    ]
+    score = sum(r.acs for r in results) / len(results)
+    worst = min(results, key=lambda r: r.acs)
+    return score, 1.0, worst.metadata()
+
+
+def _exact(value):
+    """A value with every float as float.hex and every dict in key order."""
+    if type(value) is float:
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, _exact(v)) for key, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return value
+
+
+def _outcome(scorer, *args):
+    """What ``scorer`` returns, exactly, or its error's type and text."""
+    try:
+        return _exact(scorer(*args))
+    except Exception as exc:  # any exception, so a wrong one is a mismatch, not a crash
+        return type(exc).__name__, str(exc)
+
+
+class CountingProbe:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def predict(self, values):
+        self.calls += 1
+        return self.inner.predict(values)
+
+
+@st.composite
+def explanation_inputs(draw):
+    """A 5-feature linear probe (tied and zero weights included) and cases over
+    a few name tuples, with weights from a small set so that ties are common.
+    Now and then the baseline lacks f4, so a case naming it raises."""
+    probe_weights = draw(st.lists(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.3)),
+                                  min_size=5, max_size=5))
+    probe = LinearProbe(dict(zip(FIVE, probe_weights)), bias=0.1)
+    name_pool = draw(st.lists(
+        st.integers(2, 5).flatmap(
+            lambda k: st.permutations(FIVE).map(lambda names: tuple(names[:k]))),
+        min_size=1, max_size=4))
+    cases = []
+    for _ in range(draw(st.integers(1, 30))):
+        names = draw(st.sampled_from(name_pool))
+        weights = draw(st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.9)),
+                                min_size=len(names), max_size=len(names)))
+        cases.append(AttributionCase(names, sorted(weights, reverse=True), 0.5))
+    missing = draw(st.sampled_from((None, None, None, "f4")))
+    baseline = {name: 0.0 for name in FIVE if name != missing}
+    return cases, ProbeContext(probe, ONES, baseline)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(explanation_inputs())
+def test_explanation_memo_matches_the_per_case_loop(inputs):
+    cases, context = inputs
+    assert _outcome(evaluator._evaluate_explanation_dimension, cases, context, CFG) == \
+        _outcome(_per_case_explanation, cases, context, CFG)
+
+
+def test_probe_runs_once_per_distinct_names_and_ranks():
+    cases = [
+        AttributionCase(("f0", "f1", "f2"), (0.9, 0.5, 0.1), 0.5),
+        AttributionCase(("f0", "f1", "f2"), (0.8, 0.4, 0.2), 0.5),  # same key
+        AttributionCase(("f0", "f1", "f2"), (0.5, 0.5, 0.1), 0.5),  # a tie: new ranks, new key
+        AttributionCase(("f1", "f0"), (0.9, 0.1), 0.5),
+        AttributionCase(("f1", "f0"), (0.3, 0.2), 0.5),
+        AttributionCase(("f0", "f1", "f2"), (0.6, 0.6, 0.2), 0.5),  # the third key again
+    ]
+    probe = CountingProbe(LinearProbe({"f0": 0.4, "f1": 0.3, "f2": 0.2}, bias=0.05))
+    context = ProbeContext(probe, ONES, ZEROS)
+    outcome = evaluator._evaluate_explanation_dimension(cases, context, CFG)
+    # len(names) perturbations, the unperturbed call and the determinism re-check
+    assert probe.calls == (3 + 2) + (3 + 2) + (2 + 2)
+    assert _exact(outcome) == _exact(_per_case_explanation(cases, context, CFG))
+
+
+def _fm5_lines(copies: int) -> list[str]:
+    records = []
+    for variant in ("causal", "proxy_first", "proxy_second"):
+        records += generate(ScenarioSpec("fm5", seed=42, variant=variant))
+    return [serialize_trace_record(r) for r in records] * copies
+
+
+def test_drifting_probe_is_still_rejected():
+    class Drifty:
+        def __init__(self):
+            self.n = 0
+
+        def predict(self, values):
+            self.n += 1
+            return 0.5 + self.n * 1e-6
+
+    context = ProbeContext(Drifty(), FM5_ORIGINAL_VALUES, FM5_BASELINE_VALUES)
+    with pytest.raises(EvaluationError, match="not deterministic"):
+        evaluate_stream(_fm5_lines(20), CFG, probe_context=context)
+
+
+def test_each_evaluation_uses_its_own_probe():
+    lines = _fm5_lines(10)
+    other = ProbeContext(
+        LinearProbe({"transaction_velocity": 0.1, "device_age_days": 0.2,
+                     "geography_risk_score": 0.6}, bias=0.05),
+        FM5_ORIGINAL_VALUES, FM5_BASELINE_VALUES,
+    )
+    scores = [
+        evaluate_stream(lines, CFG, probe_context=context)[0]
+        .per_dimension[Dimension.EXPLANATION].score
+        for context in (probe_context(), other, probe_context())
+    ]
+    assert scores[0] == scores[2] != scores[1]

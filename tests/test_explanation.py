@@ -69,6 +69,22 @@ def test_probe_failure_names_feature():
         perturbation_impacts(Broken(), case(("velocity", "device", "geo")), ZEROS, ONES)
 
 
+def test_probe_failure_on_the_restore_call_is_an_evaluation_error():
+    class FailsOnRestore:
+        def __init__(self):
+            self.calls = 0
+
+        def predict(self, values):
+            self.calls += 1
+            if self.calls == 5:  # the unperturbed call, 3 perturbations, then the restore
+                raise RuntimeError("gone")
+            return 0.5
+
+    with pytest.raises(EvaluationError) as info:
+        perturbation_impacts(FailsOnRestore(), case(("velocity", "device", "geo")), ZEROS, ONES)
+    assert str(info.value) == "probe failed on unperturbed input: gone"
+
+
 def test_nondeterministic_probe_is_rejected():
     class Drifty:
         def __init__(self):

@@ -75,6 +75,9 @@ STATES = "['SUCCESS', 'PARTIAL', 'FAILED']"
         ('{"type":"attribution","feature_names":"ab","claimed_weights":[0.6,0.4],'
          '"decision_value":0.5}', ValidationError,
          "line 9: feature_names and claimed_weights must be lists"),
+        ('{"type":"attribution","feature_names":["transaction_velocity","transaction_velocity",'
+         '"device_age_days"],"claimed_weights":[0.9,0.5,0.1],"decision_value":0.5}',
+         ValidationError, "line 9: feature_names must be distinct"),
         ('{"type":"tool_call","tool_name":7,"state":"flaky","latency_ms":1,"timestamp":0}',
          ValidationError, f"line 9: state must be one of {STATES}, got 'flaky'"),
         pytest.param("[" * 100_000, TraceParseError, "line 9: invalid JSON: nested too deeply",
@@ -400,6 +403,8 @@ class _RefAttribution:
         object.__setattr__(
             self, "decision_value", _ref_require_real("decision_value", self.decision_value)
         )
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise ValidationError("feature_names must be distinct")
 
 
 @dataclass(frozen=True)
@@ -475,7 +480,8 @@ STATE_VALUES = (
     '"SUCCESS"', '"PARTIAL"', '"FAILED"', '"success"', '"flaky"', '""',
     "1", "0.5", "true", "null", "[]", "{}", '["SUCCESS"]',
 )
-NAME_LISTS = ('["a","b"]', '["a","b","c"]', '["a",""]', '["a",1]', '["a"]', "[]", '"ab"', "null", "{}")
+NAME_LISTS = ('["a","b"]', '["a","b","c"]', '["a","a"]', '["a","b","a"]', '["a",""]', '["a",1]',
+              '["a"]', "[]", '"ab"', "null", "{}")
 WEIGHT_LISTS = ("[0.6,0.4]", "[1,0]", "[0.5,0.5,0.0]", "[0.4,0.6]", "[0.6]", "[0.6,-0.0]",
                 "[0.6,NaN]", "[1e999,1]", "[true,false]", "[0.6,null]", "null", '"ab"', "{}")
 
