@@ -3,25 +3,35 @@
 Records route by type: steps to CASCADE, tool calls to TOOL, output events
 to DISTRIBUTION (and, when they carry a quality signal, into TOOL's quality
 series), attribution cases to EXPLANATION, request pairs to CONSISTENCY.
-Dimensions with no input are absent from the report rather than scored zero.
-Evaluation is sequential in fixed dimension order, so a given (stream,
-config) always produces the same report.
+The record stream is consumed once, and each step, tool call and output
+event is folded into its dimension's state as it arrives, so none of them is
+kept: CASCADE holds only the open pipeline and folds each closed one into a
+running mean and worst result; TOOL keeps a tick and a latency per call, the
+calls per state, and a tick and a quality per quality-carrying event;
+DISTRIBUTION keeps the last window_size events and one snapshot per window.
+Attribution cases and request pairs are kept in lists. Each dimension's
+finish step runs after the last record, in fixed dimension order, so a
+given (stream, config) always produces the same report. Dimensions with no
+input are absent from the report rather than scored zero.
 
 MetricResult.confidence is the filled fraction of the dimension's evaluation
 window (calls/window_size for TOOL, fill/window_size for DISTRIBUTION) and 1.0
-for the dimensions that evaluate complete supplied units.
+for the dimensions that evaluate complete supplied units. MetricResult's
+latency_ms times only the dimension's finish step.
 """
 
 from __future__ import annotations
 
+import sys
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from .cascade import CascadeResult, InsufficientTraceError, evaluate_cascade
 from .consistency import EmbeddingProvider, HashEmbeddingProvider, consistency_score
-from .distribution import snapshot
+from .distribution import DistributionSnapshot, snapshot
 from .explanation import ExplanationResult, ProbeContext, evaluate_explanation
 from .model import (
     RECORD_TYPES,
@@ -35,6 +45,7 @@ from .model import (
     RequestPair,
     StepResult,
     ToolCallRecord,
+    ToolCallState,
     TraceParseError,
     TraceRecord,
     ValidationError,
@@ -56,16 +67,18 @@ class StreamDiagnostics:
     record_counts: dict[str, int] = field(default_factory=dict)
 
 
-def split_pipelines(steps: Sequence[StepResult]) -> list[list[StepResult]]:
-    """Split a flat step stream into pipelines at step_index resets.
+def _starts_pipeline(pipeline: Sequence[StepResult], step: StepResult) -> bool:
+    """Step indices are strictly increasing within one pipeline, so a
+    non-increasing index starts a new one."""
+    return bool(pipeline) and step.step_index <= pipeline[-1].step_index
 
-    Step indices are strictly increasing within one pipeline, so a
-    non-increasing index starts a new one.
-    """
+
+def split_pipelines(steps: Sequence[StepResult]) -> list[list[StepResult]]:
+    """Split a flat step stream into pipelines at step_index resets."""
     pipelines: list[list[StepResult]] = []
     current: list[StepResult] = []
     for step in steps:
-        if current and step.step_index <= current[-1].step_index:
+        if _starts_pipeline(current, step):
             pipelines.append(current)
             current = []
         current.append(step)
@@ -74,43 +87,114 @@ def split_pipelines(steps: Sequence[StepResult]) -> list[list[StepResult]]:
     return pipelines
 
 
-def _evaluate_cascade_dimension(
-    steps: Sequence[StepResult], config: EvalConfig, diagnostics: StreamDiagnostics
-) -> Outcome | None:
-    results: list[CascadeResult] = []
-    for pipeline in split_pipelines(steps):
+class _Cascade:
+    """CASCADE state: the open pipeline, and the closed ones folded into a
+    running total and count of their scores, the first worst result, and
+    the too-short notes in order."""
+
+    __slots__ = ("config", "pipeline", "total", "count", "worst", "notes")
+
+    def __init__(self, config: EvalConfig) -> None:
+        self.config = config
+        self.pipeline: list[StepResult] = []
+        # The same sequential float additions that sum() over the scores
+        # makes on CPython before 3.12, which compensates them.
+        self.total = 0.0
+        self.count = 0
+        self.worst: CascadeResult | None = None
+        self.notes: list[str] = []
+
+    def observe(self, step: StepResult) -> None:
+        if _starts_pipeline(self.pipeline, step):
+            self.close()
+        self.pipeline.append(step)
+
+    def close(self) -> None:
+        pipeline, self.pipeline = self.pipeline, []
         try:
-            results.append(evaluate_cascade(pipeline, config))
+            result = evaluate_cascade(pipeline, self.config)
         except InsufficientTraceError as exc:
-            diagnostics.evaluation_notes.append(f"cascade: {exc}")
-    if not results:
+            self.notes.append(f"cascade: {exc}")
+            return
+        self.total += result.score
+        self.count += 1
+        if self.worst is None or result.score < self.worst.score:
+            self.worst = result
+
+
+class _ToolColumns:
+    """TOOL state: each call's tick and latency, the calls per state, and the
+    tick and quality of each output event that carries a quality signal."""
+
+    __slots__ = ("ticks", "latencies", "states", "quality_ticks", "qualities")
+
+    def __init__(self) -> None:
+        self.ticks: list[int] = []
+        self.latencies: list[float] = []
+        self.states = dict.fromkeys(ToolCallState, 0)
+        self.quality_ticks: list[int] = []
+        self.qualities: list[float] = []
+
+    def observe_call(self, call: ToolCallRecord) -> None:
+        self.ticks.append(call.timestamp)
+        self.latencies.append(call.latency_ms)
+        self.states[call.state] += 1
+
+    def observe_quality(self, event: OutputEvent) -> None:
+        self.quality_ticks.append(event.timestamp)
+        self.qualities.append(event.quality_signal)  # type: ignore[arg-type]
+
+
+class _Windows:
+    """DISTRIBUTION state: the last window_size output events, how many have
+    been seen, and a snapshot after every window_size-th one."""
+
+    __slots__ = ("config", "window", "seen", "snapshots")
+
+    def __init__(self, config: EvalConfig) -> None:
+        self.config = config
+        # deque's maxlen must fit a C ssize_t; no stream fills a larger window.
+        self.window: deque[OutputEvent] = deque(maxlen=min(config.window_size, sys.maxsize))
+        self.seen = 0
+        self.snapshots: list[DistributionSnapshot] = []
+
+    def observe(self, event: OutputEvent) -> None:
+        self.window.append(event)
+        self.seen += 1
+        if self.seen % self.config.window_size == 0:
+            self.snapshots.append(snapshot(self.window, self.config))
+
+
+def _evaluate_cascade_dimension(
+    cascade: _Cascade, diagnostics: StreamDiagnostics
+) -> Outcome | None:
+    """Close the open pipeline; the mean score and the worst pipeline's metadata."""
+    if cascade.pipeline:
+        cascade.close()
+    diagnostics.evaluation_notes.extend(cascade.notes)
+    if cascade.worst is None:
         return None
-    score = sum(r.score for r in results) / len(results)
-    worst = min(results, key=lambda r: r.score)
-    return score, 1.0, worst.metadata()
+    return cascade.total / cascade.count, 1.0, cascade.worst.metadata()
 
 
 def _quality_series_for_calls(
-    calls: Sequence[ToolCallRecord], events: Sequence[OutputEvent]
+    call_ticks: Sequence[int], quality_ticks: Sequence[int], qualities: Sequence[float]
 ) -> list[float] | None:
-    """Bucket quality-carrying events over the calls' tick span.
+    """Bucket the quality-carrying events' qualities over the calls' tick span.
 
     Buckets with no quality event inherit the previous bucket's value
     (leading gaps take the first observed value). Returns None when no
     event carries a quality signal.
     """
-    tagged = [e for e in events if e.quality_signal is not None]
-    if not tagged:
+    if not qualities:
         return None
-    call_ticks = [c.timestamp for c in calls]
-    lo, hi = min(call_ticks), max(call_ticks)
     assignments = bucket_indices(
-        [e.timestamp for e in tagged], LATENCY_BUCKET_COUNT, lo=lo, hi=hi
+        quality_ticks, LATENCY_BUCKET_COUNT, lo=min(call_ticks), hi=max(call_ticks)
     )
     sums = [0.0] * LATENCY_BUCKET_COUNT
     counts = [0] * LATENCY_BUCKET_COUNT
-    for event, b in zip(tagged, assignments):
-        sums[b] += event.quality_signal  # type: ignore[operator]
+    for quality, b in zip(qualities, assignments):
+        sums[b] += quality
         counts[b] += 1
     means = [sums[b] / counts[b] if counts[b] else None for b in range(LATENCY_BUCKET_COUNT)]
     series: list[float] = []
@@ -123,26 +207,23 @@ def _quality_series_for_calls(
 
 
 def _evaluate_tool_dimension(
-    calls: Sequence[ToolCallRecord],
-    events: Sequence[OutputEvent],
-    config: EvalConfig,
-    diagnostics: StreamDiagnostics,
+    tool: _ToolColumns, config: EvalConfig, diagnostics: StreamDiagnostics
 ) -> Outcome:
-    quality = _quality_series_for_calls(calls, events)
-    result = evaluate_reliability(calls, quality, config)
+    quality = _quality_series_for_calls(tool.ticks, tool.quality_ticks, tool.qualities)
+    state_counts = {state.value: count for state, count in tool.states.items()}
+    result = evaluate_reliability(tool.ticks, tool.latencies, state_counts, quality, config)
     if result.rho_fallback is not None:
         diagnostics.evaluation_notes.append(f"tool: {result.rho_fallback}")
-    return result.score, min(1.0, len(calls) / config.window_size), result.metadata()
+    return result.score, min(1.0, len(tool.ticks) / config.window_size), result.metadata()
 
 
-def _evaluate_distribution_dimension(
-    events: Sequence[OutputEvent], config: EvalConfig
-) -> Outcome:
-    # A snapshot every window_size events and one at the end, each over the
-    # last window_size events seen so far.
-    size, n = config.window_size, len(events)
-    ends = [min(end, n) for end in range(size, n + size, size)]
-    snapshots = [snapshot(events[max(0, end - size):end], config) for end in ends]
+def _evaluate_distribution_dimension(windows: _Windows) -> Outcome:
+    """The snapshots taken every window_size events, and one more at the end
+    when the stream stopped inside a window; the last one is current."""
+    config = windows.config
+    snapshots = windows.snapshots
+    if windows.seen % config.window_size:
+        snapshots = [*snapshots, snapshot(windows.window, config)]
     current = snapshots[-1]
     metadata = current.metadata()
     metadata["windows"] = [
@@ -214,26 +295,41 @@ def evaluate_records(
     diagnostics = diagnostics if diagnostics is not None else StreamDiagnostics()
     provider = embedding_provider or HashEmbeddingProvider()
 
-    by_type: dict[type, list[Any]] = {cls: [] for cls in RECORD_TYPES.values()}
+    cascade, tool, windows = _Cascade(config), _ToolColumns(), _Windows(config)
+    cases: list[AttributionCase] = []
+    pairs: list[RequestPair] = []
+
+    def observe_output(event: OutputEvent) -> None:
+        windows.observe(event)
+        if event.quality_signal is not None:
+            tool.observe_quality(event)
+
+    routes: dict[type, Callable[[Any], None]] = {
+        StepResult: cascade.observe,
+        ToolCallRecord: tool.observe_call,
+        OutputEvent: observe_output,
+        AttributionCase: cases.append,
+        RequestPair: pairs.append,
+    }
+    counts = dict.fromkeys(routes, 0)
     for record in records:
-        bucket = by_type.get(type(record))
-        if bucket is None:
-            raise TypeError(f"not a trace record: {type(record).__name__}")
-        bucket.append(record)
-    diagnostics.record_counts = {name: len(by_type[cls]) for name, cls in RECORD_TYPES.items()}
-    steps, calls, events, cases, pairs = (
-        by_type[cls]
-        for cls in (StepResult, ToolCallRecord, OutputEvent, AttributionCase, RequestPair)
-    )
-    # (dimension, its input records, its scorer) in report order. The lambdas
-    # look each scorer up in this module when called, so it can be wrapped.
+        kind = type(record)
+        route = routes.get(kind)
+        if route is None:
+            raise TypeError(f"not a trace record: {kind.__name__}")
+        counts[kind] += 1
+        route(record)
+    diagnostics.record_counts = {name: counts[cls] for name, cls in RECORD_TYPES.items()}
+    # (dimension, its record count, its finish step) in report order. The
+    # lambdas look each scorer up in this module when called, so it can be
+    # wrapped.
     table = (
-        (Dimension.CASCADE, steps,
-         lambda: _evaluate_cascade_dimension(steps, config, diagnostics)),
-        (Dimension.TOOL, calls,
-         lambda: _evaluate_tool_dimension(calls, events, config, diagnostics)),
-        (Dimension.DISTRIBUTION, events,
-         lambda: _evaluate_distribution_dimension(events, config)),
+        (Dimension.CASCADE, counts[StepResult],
+         lambda: _evaluate_cascade_dimension(cascade, diagnostics)),
+        (Dimension.TOOL, counts[ToolCallRecord],
+         lambda: _evaluate_tool_dimension(tool, config, diagnostics)),
+        (Dimension.DISTRIBUTION, counts[OutputEvent],
+         lambda: _evaluate_distribution_dimension(windows)),
         (Dimension.EXPLANATION, cases,
          lambda: _evaluate_explanation_dimension(cases, probe_context, config)),
         (Dimension.CONSISTENCY, pairs,

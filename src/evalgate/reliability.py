@@ -47,8 +47,11 @@ class ReliabilityResult:
 
 def partial_response_rate(calls: Sequence[ToolCallRecord]) -> float:
     """Fraction of calls in PARTIAL state; calls must be non-empty."""
-    partial = sum(1 for c in calls if c.state is ToolCallState.PARTIAL)
-    return partial / len(calls)
+    return _partial_share(count_states(calls))
+
+
+def _partial_share(state_counts: dict[str, int]) -> float:
+    return state_counts[ToolCallState.PARTIAL.value] / sum(state_counts.values())
 
 
 def percentile_nearest_rank(values: Sequence[float], pct: float) -> float:
@@ -88,18 +91,30 @@ def latency_quality_correlation(
     its p95 latency with baseline_quality - quality[b]. Buckets containing no
     calls are dropped along with their quality point; calls must be non-empty.
     """
+    return _latency_quality_rho(
+        [c.timestamp for c in calls], [c.latency_ms for c in calls], quality, baseline_quality
+    )
+
+
+def _latency_quality_rho(
+    ticks: Sequence[int],
+    latencies: Sequence[float],
+    quality: Sequence[float],
+    baseline_quality: float,
+) -> float:
+    """latency_quality_correlation over the calls' tick and latency columns."""
     bucket_count = len(quality)
-    assignments = bucket_indices([c.timestamp for c in calls], bucket_count)
-    latencies: list[list[float]] = [[] for _ in range(bucket_count)]
-    for call, b in zip(calls, assignments):
-        latencies[b].append(call.latency_ms)
+    assignments = bucket_indices(ticks, bucket_count)
+    buckets: list[list[float]] = [[] for _ in range(bucket_count)]
+    for latency, b in zip(latencies, assignments):
+        buckets[b].append(latency)
 
     p95_series: list[float] = []
     drop_series: list[float] = []
     for b in range(bucket_count):
-        if not latencies[b]:
+        if not buckets[b]:
             continue
-        p95_series.append(percentile_nearest_rank(latencies[b], 0.95))
+        p95_series.append(percentile_nearest_rank(buckets[b], 0.95))
         drop_series.append(baseline_quality - quality[b])
     if len(p95_series) < 3:
         raise UndefinedStatisticError(
@@ -121,6 +136,7 @@ def detect_silent_degradation(
 
 
 def count_states(calls: Sequence[ToolCallRecord]) -> dict[str, int]:
+    """Calls per state value, in ToolCallState order."""
     counts = {state.value: 0 for state in ToolCallState}
     for call in calls:
         counts[call.state.value] += 1
@@ -128,11 +144,17 @@ def count_states(calls: Sequence[ToolCallRecord]) -> dict[str, int]:
 
 
 def evaluate_reliability(
-    calls: Sequence[ToolCallRecord],
+    ticks: Sequence[int],
+    latencies: Sequence[float],
+    state_counts: dict[str, int],
     quality: Sequence[float] | None,
     config: EvalConfig,
 ) -> ReliabilityResult:
     """Assemble the full reliability result for one window of calls.
+
+    The calls come as columns: each call's tick and latency, in call order,
+    and the calls per state value as count_states gives them; ticks must be
+    non-empty.
 
     ``quality`` is the time-bucketed quality series aligned to the calls'
     tick span, and its first point is the baseline that quality drops are
@@ -141,7 +163,7 @@ def evaluate_reliability(
     compares consecutive quality points by default, or the last point
     against the first when acc_delta_cumulative is set.
     """
-    prr = partial_response_rate(calls)
+    prr = _partial_share(state_counts)
     rho = 0.0
     fallback: str | None = None
     bucket_count = 0
@@ -150,7 +172,7 @@ def evaluate_reliability(
     else:
         bucket_count = len(quality)
         try:
-            rho = latency_quality_correlation(calls, quality, quality[0])
+            rho = _latency_quality_rho(ticks, latencies, quality, quality[0])
         except UndefinedStatisticError as exc:
             rho = 0.0
             fallback = str(exc)
@@ -170,7 +192,7 @@ def evaluate_reliability(
         rho_lq=rho,
         score=tool_reliability_score(prr, rho),
         silent_degradation=silent,
-        call_counts=count_states(calls),
+        call_counts=state_counts,
         bucket_count=bucket_count,
         rho_fallback=fallback,
     )

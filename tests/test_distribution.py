@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evalgate.distribution import DistributionSnapshot, snapshot
-from evalgate.evaluator import _evaluate_distribution_dimension
+from evalgate.evaluator import _evaluate_distribution_dimension, _Windows
 from evalgate.model import EvalConfig, OutputEvent
 from evalgate.stats import normalized_entropy
 
@@ -22,6 +22,15 @@ def event(category: str, ts: int = 0, quality: float | None = None) -> OutputEve
     return OutputEvent(category=category, session_id="s", timestamp=ts, quality_signal=quality)
 
 
+def distribution_dimension(events: list[OutputEvent], config: EvalConfig):
+    """The DISTRIBUTION outcome of these events, folded one at a time as the
+    evaluator folds them."""
+    windows = _Windows(config)
+    for e in events:
+        windows.observe(e)
+    return _evaluate_distribution_dimension(windows)
+
+
 def outputs(categories: list[str]) -> list[OutputEvent]:
     """The window the default config scores over these categories: the last 100."""
     return [event(c, ts=i) for i, c in enumerate(categories)][-CFG.window_size:]
@@ -30,7 +39,7 @@ def outputs(categories: list[str]) -> list[OutputEvent]:
 def test_each_window_covers_the_last_window_size_events():
     cfg = EvalConfig(window_size=3)
     events = outputs(["a", "a", "a", "b", "c", "c", "d"])
-    _, confidence, metadata = _evaluate_distribution_dimension(events, cfg)
+    _, confidence, metadata = distribution_dimension(events, cfg)
     # snapshots after events 3 and 6, and one at the end over events 5-7
     assert [(w["window_fill"], w["distinct_categories"]) for w in metadata["windows"]] == [
         (3, 1), (3, 2), (3, 2)
@@ -254,6 +263,6 @@ def distribution_inputs(draw):
 @given(distribution_inputs())
 def test_windows_match_the_ring_buffer_bit_for_bit(inputs):
     events, config = inputs
-    assert exact(_evaluate_distribution_dimension(events, config)) == exact(
+    assert exact(distribution_dimension(events, config)) == exact(
         reference_distribution_dimension(events, config)
     )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from evalgate.model import EvalConfig, ToolCallRecord, ToolCallState
 from evalgate.reliability import (
     bucket_indices,
+    count_states,
     detect_silent_degradation,
     evaluate_reliability,
     latency_quality_correlation,
@@ -24,6 +25,11 @@ CFG = EvalConfig()
 
 def call(state: ToolCallState, latency: float = 100.0, ts: int = 0) -> ToolCallRecord:
     return ToolCallRecord("svc", state, latency, ts)
+
+
+def columns(calls: list[ToolCallRecord]) -> tuple[list[int], list[float], dict[str, int]]:
+    """The calls as evaluate_reliability takes them: ticks, latencies, state counts."""
+    return [c.timestamp for c in calls], [c.latency_ms for c in calls], count_states(calls)
 
 
 def calls_with_partials(total: int, partial: int) -> list[ToolCallRecord]:
@@ -122,7 +128,7 @@ def test_fm2_signature_flags_at_first_crossing_and_never_earlier():
 
 def test_evaluate_reliability_assembles_metadata():
     stage = generate_fm2(42).stages[1]
-    result = evaluate_reliability(stage.calls, stage.quality, CFG)
+    result = evaluate_reliability(*columns(stage.calls), stage.quality, CFG)
     assert result.prr == pytest.approx(0.220, abs=1e-15)
     assert result.call_counts == {"SUCCESS": 39, "PARTIAL": 11, "FAILED": 0}
     assert result.score == pytest.approx(
@@ -134,7 +140,7 @@ def test_evaluate_reliability_assembles_metadata():
 
 def test_evaluate_reliability_without_quality_falls_back():
     calls = calls_with_partials(20, 5)
-    result = evaluate_reliability(calls, None, CFG)
+    result = evaluate_reliability(*columns(calls), None, CFG)
     assert result.rho_lq == 0.0
     assert result.rho_fallback is not None
     assert not result.silent_degradation
@@ -145,8 +151,8 @@ def test_evaluate_reliability_cumulative_mode():
     quality = [0.87, 0.868, 0.865, 0.862, 0.86, 0.858, 0.855, 0.852, 0.85, 0.84]
     stage_cfg = EvalConfig()
     cumulative_cfg = EvalConfig(acc_delta_cumulative=True)
-    stepwise = evaluate_reliability(calls, quality, stage_cfg)
-    cumulative = evaluate_reliability(calls, quality, cumulative_cfg)
+    stepwise = evaluate_reliability(*columns(calls), quality, stage_cfg)
+    cumulative = evaluate_reliability(*columns(calls), quality, cumulative_cfg)
     # every step move is inside the band, but first-to-last is not
     assert stepwise.silent_degradation
     assert not cumulative.silent_degradation
