@@ -16,14 +16,13 @@ input are absent from the report rather than scored zero.
 
 MetricResult.confidence is the filled fraction of the dimension's evaluation
 window (calls/window_size for TOOL, fill/window_size for DISTRIBUTION) and 1.0
-for the dimensions that evaluate complete supplied units. MetricResult's
-latency_ms times only the dimension's finish step.
+for the dimensions that evaluate complete supplied units. The report holds
+no timing: the same input always gives an equal EvalReport.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -52,7 +51,7 @@ from .model import (
     parse_trace_record,
 )
 from .reliability import LATENCY_BUCKET_COUNT, bucket_indices, evaluate_reliability
-from .stats import UndefinedStatisticError, fractional_ranks
+from .stats import UndefinedStatisticError, fractional_ranks, sequential_sum
 
 # A scored dimension: (score, confidence, metadata).
 Outcome = tuple[float, float, dict[str, Any]]
@@ -97,8 +96,8 @@ class _Cascade:
     def __init__(self, config: EvalConfig) -> None:
         self.config = config
         self.pipeline: list[StepResult] = []
-        # The same sequential float additions that sum() over the scores
-        # makes on CPython before 3.12, which compensates them.
+        # The same additions, in the same order, as stats.sequential_sum over
+        # the scores.
         self.total = 0.0
         self.count = 0
         self.worst: CascadeResult | None = None
@@ -267,7 +266,7 @@ def _evaluate_explanation_dimension(
                 config,
             )
         results.append(result)
-    score = sum(r.acs for r in results) / len(results)
+    score = sequential_sum(r.acs for r in results) / len(results)
     worst = min(results, key=lambda r: r.acs)
     return score, 1.0, worst.metadata()
 
@@ -290,7 +289,6 @@ def evaluate_records(
 
     Raises EvaluationError when nothing in the stream is evaluable.
     """
-    total_start = time.perf_counter()
     config = config or EvalConfig()
     diagnostics = diagnostics if diagnostics is not None else StreamDiagnostics()
     provider = embedding_provider or HashEmbeddingProvider()
@@ -304,13 +302,21 @@ def evaluate_records(
         if event.quality_signal is not None:
             tool.observe_quality(event)
 
-    routes: dict[type, Callable[[Any], None]] = {
-        StepResult: cascade.observe,
-        ToolCallRecord: tool.observe_call,
-        OutputEvent: observe_output,
-        AttributionCase: cases.append,
-        RequestPair: pairs.append,
-    }
+    # Per record type, in report order: what its records feed, the dimension
+    # they are scored in, and that dimension's finish step with its arguments.
+    table = (
+        (StepResult, cascade.observe, Dimension.CASCADE,
+         _evaluate_cascade_dimension, (cascade, diagnostics)),
+        (ToolCallRecord, tool.observe_call, Dimension.TOOL,
+         _evaluate_tool_dimension, (tool, config, diagnostics)),
+        (OutputEvent, observe_output, Dimension.DISTRIBUTION,
+         _evaluate_distribution_dimension, (windows,)),
+        (AttributionCase, cases.append, Dimension.EXPLANATION,
+         _evaluate_explanation_dimension, (cases, probe_context, config)),
+        (RequestPair, pairs.append, Dimension.CONSISTENCY,
+         _evaluate_consistency_dimension, (pairs, provider, config)),
+    )
+    routes: dict[type, Callable[[Any], None]] = {kind: route for kind, route, *_ in table}
     counts = dict.fromkeys(routes, 0)
     for record in records:
         kind = type(record)
@@ -320,34 +326,18 @@ def evaluate_records(
         counts[kind] += 1
         route(record)
     diagnostics.record_counts = {name: counts[cls] for name, cls in RECORD_TYPES.items()}
-    # (dimension, its record count, its finish step) in report order. The
-    # lambdas look each scorer up in this module when called, so it can be
-    # wrapped.
-    table = (
-        (Dimension.CASCADE, counts[StepResult],
-         lambda: _evaluate_cascade_dimension(cascade, diagnostics)),
-        (Dimension.TOOL, counts[ToolCallRecord],
-         lambda: _evaluate_tool_dimension(tool, config, diagnostics)),
-        (Dimension.DISTRIBUTION, counts[OutputEvent],
-         lambda: _evaluate_distribution_dimension(windows)),
-        (Dimension.EXPLANATION, cases,
-         lambda: _evaluate_explanation_dimension(cases, probe_context, config)),
-        (Dimension.CONSISTENCY, pairs,
-         lambda: _evaluate_consistency_dimension(pairs, provider, config)),
-    )
+
     per_dimension: dict[Dimension, MetricResult] = {}
-    for dimension, inputs, scorer in table:
-        start = time.perf_counter()
+    for kind, _, dimension, finish, args in table:
         try:
-            outcome = scorer() if inputs else None
+            outcome = finish(*args) if counts[kind] else None
         except UndefinedStatisticError as exc:
             diagnostics.evaluation_notes.append(f"{dimension.value.lower()}: {exc}")
             continue
         if outcome is not None:
             score, confidence, metadata = outcome
-            latency_ms = (time.perf_counter() - start) * 1000.0
             passed = score >= config.threshold(dimension)
-            per_dimension[dimension] = MetricResult(score, confidence, latency_ms, passed, metadata)
+            per_dimension[dimension] = MetricResult(score, confidence, passed, metadata)
 
     if not per_dimension:
         errors = diagnostics.parse_errors
@@ -359,12 +349,7 @@ def evaluate_records(
         raise EvaluationError("no evaluable records")
 
     overall_score, passed = aggregate(per_dimension, config)
-    return EvalReport(
-        per_dimension=per_dimension,
-        overall_score=overall_score,
-        passed=passed,
-        total_latency_ms=(time.perf_counter() - total_start) * 1000.0,
-    )
+    return EvalReport(per_dimension=per_dimension, overall_score=overall_score, passed=passed)
 
 
 def evaluate_stream(
@@ -401,9 +386,10 @@ def evaluate_stream(
 
 def aggregate(results: dict[Dimension, MetricResult], config: EvalConfig) -> tuple[float, bool]:
     """Weight-normalized mean over non-empty results; gate is their conjunction."""
-    total_weight = sum(config.weight(d) for d in results)
+    total_weight = sequential_sum(config.weight(d) for d in results)
     if total_weight > 0:
-        overall = sum(config.weight(d) * r.score for d, r in results.items()) / total_weight
+        weighted = sequential_sum(config.weight(d) * r.score for d, r in results.items())
+        overall = weighted / total_weight
     else:
-        overall = sum(r.score for r in results.values()) / len(results)
+        overall = sequential_sum(r.score for r in results.values()) / len(results)
     return overall, all(r.passed for r in results.values())

@@ -5,8 +5,8 @@ discriminated by a ``type`` field. The five trace records are slotted value
 objects: they check and normalise their fields on construction, the engine
 never mutates them, and they are not hashable. Metric results, reports and
 the configuration are frozen. Timestamps are integer ticks supplied by the
-trace. The engine times its scorers for stderr, but no wall-clock value
-reaches the report, so replays are deterministic.
+trace. No wall-clock value sits in a metric result or a report, so a replay
+gives an equal report.
 """
 
 from __future__ import annotations
@@ -235,7 +235,6 @@ class MetricResult:
 
     score: float
     confidence: float
-    latency_ms: float
     passed: bool
     metadata: dict[str, Any] = field(default_factory=dict)
 
@@ -251,7 +250,6 @@ class EvalReport:
     per_dimension: dict[Dimension, MetricResult]
     overall_score: float
     passed: bool
-    total_latency_ms: float
 
 
 DIMENSION_KEYS = tuple(d.value.lower() for d in Dimension)
@@ -324,6 +322,8 @@ class EvalConfig:
             total += value
         if total <= 0:
             raise ValidationError("aggregate_weights must sum to a positive value")
+        if not math.isfinite(total):
+            raise ValidationError("aggregate_weights must have a finite sum")
 
     def threshold(self, dimension: Dimension) -> float:
         return self.dimension_thresholds[dimension.value.lower()]

@@ -1,7 +1,8 @@
 """Shared statistics: normalized entropy, correlation, cosine similarity.
 
 All functions are pure, operate on plain Python sequences, and accumulate
-with math.fsum so results are independent of input ordering.
+with math.fsum so results are independent of input ordering, except
+sequential_sum, which adds in input order.
 
 math.fsum is correctly rounded, so an exact zero term changes no sum, and
 a sum of zeros is 0.0 whatever their signs. cosine_similarity relies on
@@ -12,13 +13,21 @@ embeddings, and its results stay bit-identical to the dense formula.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from functools import reduce
 from itertools import compress
-from operator import mul
+from operator import add, mul
 
 
 class UndefinedStatisticError(ValueError):
     """Raised when a statistic is requested on input it is not defined for."""
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum, which sum() computes on CPython before 3.12. From
+    3.12 on, sum() compensates float sums, so its last bits, and the report
+    bytes built from them, would depend on the interpreter."""
+    return reduce(add, values, 0)
 
 
 def _check_finite(name: str, values: Sequence[float]) -> None:

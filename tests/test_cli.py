@@ -5,17 +5,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalgate import cli
 from evalgate.cli import ConfigError, load_config, main
+from evalgate.evaluator import evaluate_stream
 from evalgate.model import EvalConfig, StepResult, serialize_trace_record
 from evalgate.simulate import ScenarioSpec, default_variant, generate
 
@@ -488,6 +492,46 @@ def test_latencies_near_the_float_maximum_fall_back_to_rho_zero(tmp_path, latenc
     tool = document["dimensions"]["TOOL"]["metadata"]
     assert (tool["rho_lq"], tool["rho_fallback"]) == (0.0, "correlation overflows a float")
     assert document["evaluation_notes"] == ["tool: correlation overflows a float"]
+
+
+@pytest.mark.parametrize("scenarios, weights", [
+    ((("fm1", "healthy"), ("fm3", None)), {"cascade": 1.7e308, "distribution": 1.7e308}),
+    ((("fm2", None), ("fm3", None)), {"tool": 1e308, "distribution": 1e308}),
+])
+def test_aggregate_weights_with_an_infinite_sum_exit_two(tmp_path, capsys, scenarios, weights):
+    trace = tmp_path / "t.jsonl"
+    parts = []
+    for scenario, variant in scenarios:
+        part = tmp_path / f"{scenario}.jsonl"
+        simulate_to(part, scenario, *(("--variant", variant) if variant else ()))
+        parts.append(part.read_text())
+    trace.write_text("".join(parts))
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"aggregate_weights": weights}))
+    capsys.readouterr()
+    code, document = evaluate_to(trace, tmp_path / "r.json", "--config", str(config_path))
+    assert (code, document) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: invalid config: aggregate_weights must have a finite sum\n"
+    )
+
+
+def test_stderr_times_the_whole_run_on_the_overall_line_only(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm2")
+
+    def slow_evaluate_stream(*args, **kwargs):
+        time.sleep(0.05)
+        return evaluate_stream(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_stream", slow_evaluate_stream)
+    capsys.readouterr()
+    assert evaluate_to(trace, tmp_path / "r.json")[0] == 1
+    *dimension_lines, overall = capsys.readouterr().err.splitlines()
+    assert len(dimension_lines) == 2
+    assert not any(re.search(r"\bms\b", line) for line in dimension_lines)
+    match = re.fullmatch(r"overall=\S+ gate=FAIL \((\d+\.\d\d) ms\)", overall)
+    assert match and float(match.group(1)) >= 50
 
 
 def test_output_into_missing_directory_exits_two_and_writes_nothing(tmp_path, capsys):

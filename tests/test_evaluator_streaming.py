@@ -174,11 +174,11 @@ def reference_evaluate_records(records, config, probe_context, diagnostics) -> E
         if outcome is not None:
             score, confidence, metadata = outcome
             passed = score >= config.threshold(dimension)
-            per_dimension[dimension] = MetricResult(score, confidence, 0.0, passed, metadata)
+            per_dimension[dimension] = MetricResult(score, confidence, passed, metadata)
     if not per_dimension:
         raise EvaluationError("no evaluable records")
     overall, passed = aggregate(per_dimension, config)
-    return EvalReport(per_dimension, overall, passed, 0.0)
+    return EvalReport(per_dimension, overall, passed)
 
 
 # --- mixed streams -----------------------------------------------------------

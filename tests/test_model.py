@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalgate.model import (
+    DIMENSION_KEYS,
     AttributionCase,
     EvalConfig,
     MetricResult,
@@ -182,7 +183,7 @@ def test_step_index_must_be_positive_integer():
 
 def test_metric_result_clamps_nothing_silently():
     with pytest.raises(ValidationError):
-        MetricResult(score=1.5, confidence=1.0, latency_ms=0.0, passed=True)
+        MetricResult(score=1.5, confidence=1.0, passed=True)
 
 
 def test_config_simplex_constraint():
@@ -206,6 +207,14 @@ def test_config_rejects_unknown_dimension_keys():
         EvalConfig(dimension_thresholds={"sideways": 0.5})
     with pytest.raises(ValidationError):
         EvalConfig(aggregate_weights={"cascade": -1.0})
+
+
+def test_config_rejects_aggregate_weights_whose_sum_overflows():
+    with pytest.raises(ValidationError, match="aggregate_weights must have a finite sum"):
+        EvalConfig(aggregate_weights={"cascade": 1.7e308, "distribution": 1.7e308})
+    with pytest.raises(ValidationError, match="aggregate_weights must sum to a positive value"):
+        EvalConfig(aggregate_weights=dict.fromkeys(DIMENSION_KEYS, 0.0))
+    assert EvalConfig(aggregate_weights={"cascade": 1.7e308}).aggregate_weights["cascade"] == 1.7e308
 
 
 # --- round-trip property -----------------------------------------------------

@@ -15,6 +15,7 @@ from evalgate.stats import (
     fractional_ranks,
     normalized_entropy,
     pearson,
+    sequential_sum,
     spearman,
 )
 
@@ -46,6 +47,12 @@ def brute_ranks(values):
 
 
 # --- frozen oracle values ----------------------------------------------------
+
+def test_sequential_sum_adds_left_to_right_without_compensation():
+    # A compensated sum, such as sum() from CPython 3.12 on, gives 1.0 here.
+    assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
+    assert sequential_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+
 
 def test_entropy_oracle_counts_2_1_1():
     # direct summation of -(1/log 3) * sum(p log p) with p = (1/2, 1/4, 1/4)
