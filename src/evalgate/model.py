@@ -313,11 +313,13 @@ class EvalConfig:
             raise ValidationError(
                 f"alpha + beta + gamma must equal 1, got {self.alpha + self.beta + self.gamma}"
             )
+        # Both maps were copied above, so each value can be replaced by its float.
         for key, value in self.dimension_thresholds.items():
-            _require_unit(f"dimension_thresholds[{key}]", value)
+            self.dimension_thresholds[key] = _require_unit(f"dimension_thresholds[{key}]", value)
         total = 0.0
         for key, value in self.aggregate_weights.items():
-            if _require_real(f"aggregate_weights[{key}]", value) < 0:
+            value = self.aggregate_weights[key] = _require_real(f"aggregate_weights[{key}]", value)
+            if value < 0:
                 raise ValidationError(f"aggregate_weights[{key}] must be >= 0")
             total += value
         if total <= 0:
@@ -347,22 +349,30 @@ _WIRE_SCHEMA = {
     for name, cls in RECORD_TYPES.items()
 }
 _WIRE_NAMES = {cls: name for name, cls in RECORD_TYPES.items()}
+_scan_once = json.JSONDecoder().scan_once
 
 
 def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord:
     """Parse one trace line into its record type.
 
+    A line that json.loads's scanner reads whole from index 0 has no leading BOM or
+    whitespace, so json.loads returns an equal value; it decides every other line.
     Raises TraceParseError for malformed JSON, unknown types, or missing
     fields, and ValidationError (with line context) for invariant violations.
     """
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
-    except RecursionError:
-        raise TraceParseError("invalid JSON: nested too deeply", line_number) from None
-    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
-        raise TraceParseError("invalid JSON: integer has too many digits", line_number) from None
+        payload, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError, TypeError):  # TypeError: bytes
+        end = -1
+    if end != len(line):
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+        except RecursionError:
+            raise TraceParseError("invalid JSON: nested too deeply", line_number) from None
+        except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+            raise TraceParseError("invalid JSON: integer has too many digits", line_number) from None
     if not isinstance(payload, dict):
         raise TraceParseError("record must be a JSON object", line_number)
     record_type = payload.get("type")

@@ -172,6 +172,21 @@ def test_config_file_overrides_and_report_echoes_them(tmp_path):
     assert code == 0
 
 
+def test_integer_weights_and_thresholds_give_the_report_of_their_floats(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "low1")
+    reports = []
+    for weight, threshold in ((2, 1), (2.0, 1.0)):
+        config_path = tmp_path / f"cfg-{weight!r}.json"
+        report_path = tmp_path / f"r-{weight!r}.json"
+        config_path.write_text(json.dumps({"aggregate_weights": {"cascade": weight},
+                                           "dimension_thresholds": {"cascade": threshold}}))
+        assert run_cli("evaluate", "--input", str(trace), "--config", str(config_path),
+                       "--output", str(report_path)) == 1
+        reports.append(report_path.read_bytes())
+    assert reports[0] == reports[1]
+
+
 # sha256 of the report for each acceptance scenario at seed 42, and its exit code
 REPORT_DIGESTS = {
     ("fm1", "healthy"): (0, "37be1049c56713b36dfecb566d4e5063721ae0330056e7f805c8dba3bd947759"),

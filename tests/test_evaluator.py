@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalgate import evaluator
+from evalgate import evaluator, model
 from evalgate.evaluator import aggregate, evaluate_records, evaluate_stream, split_pipelines
 from evalgate.explanation import ProbeContext, evaluate_explanation
 from evalgate.model import (
@@ -207,6 +209,33 @@ def test_equal_inputs_give_equal_reports():
     lines = [serialize_trace_record(r) for r in records]
     assert evaluate_stream(lines, CFG, probe_context()) == \
         evaluate_stream(lines, CFG, probe_context())
+
+
+def test_json_loads_reads_only_the_lines_that_are_not_json(monkeypatch):
+    records = [r for scenario in ("fm1", "fm2", "fm3", "fm5")
+               for r in generate(ScenarioSpec(scenario, seed=11))]
+    records += [RequestPair("refund order 7", "refund order seven", "allow", "allow")] * 3
+    lines = [serialize_trace_record(r) for r in records]
+    step = lines[0]
+    not_json = ["not a record", "{", step + "x", step + step, "\ufeff" + step, step[:-1]]
+    breaks_rules = [
+        "[]", "null", '{"type":"mystery"}', '{"type":"step","step_index":1,"confidence":0.5}',
+        step.replace('"confidence":', '"confidence":1.5,"was":'),
+        '{"type":"output","category":"c","session_id":"s","timestamp":1,"quality_signal":NaN}',
+    ]
+    lines[1:1] = not_json + breaks_rules + [f" \t{step}\r\n"]
+    calls = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args[0])
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(model.json, "loads", counting_loads)
+    report, diagnostics = evaluate_stream(lines, CFG, probe_context())
+    assert len(diagnostics.parse_errors) == len(not_json) + len(breaks_rules)
+    assert set(report.per_dimension) == set(Dimension)
+    assert sorted(calls) == sorted(not_json)
 
 
 def test_custom_embedding_provider_is_used():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from evalgate.model import (
     DIMENSION_KEYS,
+    _WIRE_SCHEMA,
     AttributionCase,
     EvalConfig,
     MetricResult,
@@ -573,3 +574,95 @@ def trace_lines(draw):
 @given(trace_lines())
 def test_fast_paths_agree_with_the_reference(line):
     _assert_same_outcome(line)
+
+
+# --- differential test of the scanner fast path -------------------------------
+#
+# The reference is parse_trace_record as it was before its one-call scanner fast
+# path: json.loads on every line. Both must give the same record fields, or the
+# same error type and text, for valid lines of every type and mutations of them.
+
+
+def _json_loads_first(line, line_number=None):
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+    except RecursionError:
+        raise TraceParseError("invalid JSON: nested too deeply", line_number) from None
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        raise TraceParseError("invalid JSON: integer has too many digits", line_number) from None
+    if not isinstance(payload, dict):
+        raise TraceParseError("record must be a JSON object", line_number)
+    record_type = payload.get("type")
+    try:
+        cls, required, optional = _WIRE_SCHEMA[record_type]
+    except (KeyError, TypeError):  # TypeError: an unhashable type value
+        raise TraceParseError(f"unknown record type: {record_type!r}", line_number) from None
+    try:
+        values = required(payload)
+    except KeyError as exc:
+        raise TraceParseError(
+            f"{record_type} record missing field {exc.args[0]!r}", line_number
+        ) from None
+    try:
+        if optional:
+            return cls(*values, **{name: payload[name] for name in optional if name in payload})
+        return cls(*values)
+    except ValidationError as exc:
+        if line_number is not None:
+            raise ValidationError(f"line {line_number}: {exc}") from exc
+        raise
+
+
+# JSON whitespace is the first four; str.strip() removes all eight.
+SPACES = (" ", "\t", "\r", "\n", "\x0b", "\x0c", "\u00a0", "\u2028")
+VALUE_MUTATIONS = (
+    "NaN", "Infinity", "-Infinity", "-0.0", "1e999", "1" * 4301,
+    "[" * 100_000 + "]" * 100_000, '"\\ud800"', '"x\\udc00"',
+)
+TRAILERS = ("x", "}", ",", "]", " 1", "{}", '{"type":"step"}')
+NON_OBJECTS = ("[]", "1", '"s"', "null")
+LINE_MUTATIONS = ("space", "bom", "trailer", "second", "truncate", "non_object", "bytes")
+spaces = st.text(st.sampled_from(SPACES), min_size=1, max_size=2)
+value_mutations = st.sampled_from(VALUE_MUTATIONS)
+line_mutations = st.sets(st.sampled_from(LINE_MUTATIONS), max_size=3)
+
+
+@st.composite
+def mutated_lines(draw):
+    payload = json.loads(serialize_trace_record(draw(any_record)))
+    members = [(json.dumps(k), json.dumps(v, ensure_ascii=False)) for k, v in payload.items()]
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.integers(0, len(members) - 1))
+        value = draw(value_mutations)
+        if draw(st.booleans()):  # a duplicate key; the last one wins
+            members.append((members[index][0], value))
+        else:
+            members[index] = (members[index][0], value)
+    if draw(st.booleans()):
+        members.append(('"\\ud800"', "1"))
+    line = "{" + ",".join(f"{key}:{value}" for key, value in members) + "}"
+    kinds = draw(line_mutations)
+    if "non_object" in kinds:
+        line = draw(st.sampled_from(NON_OBJECTS))
+    if "truncate" in kinds:
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    if "trailer" in kinds:
+        line += draw(st.sampled_from(TRAILERS))
+    if "second" in kinds:
+        line += line
+    if "space" in kinds:
+        line = draw(spaces) + line + draw(spaces)
+    if "bom" in kinds:
+        line = "\ufeff" + line
+    if "bytes" in kinds:
+        return line.encode("utf-8", "surrogatepass")
+    return line
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(mutated_lines())
+def test_scanner_fast_path_agrees_with_json_loads_first(line):
+    assert _outcome(lambda text: parse_trace_record(text, 9), line) == \
+        _outcome(lambda text: _json_loads_first(text, 9), line), line
