@@ -6,13 +6,13 @@ series), attribution cases to EXPLANATION, request pairs to CONSISTENCY.
 The record stream is consumed once, and each step, tool call and output
 event is folded into its dimension's state as it arrives, so none of them is
 kept: CASCADE holds only the open pipeline and folds each closed one into a
-running mean and worst result; TOOL keeps a tick and a latency per call, the
-calls per state, and a tick and a quality per quality-carrying event;
-DISTRIBUTION keeps the last window_size events and one snapshot per window.
-Attribution cases and request pairs are kept in lists. Each dimension's
-finish step runs after the last record, in fixed dimension order, so a
-given (stream, config) always produces the same report. Dimensions with no
-input are absent from the report rather than scored zero.
+running mean and worst result; TOOL keeps 16 B per call (tick and latency)
+and per quality-carrying event (tick and quality) while ticks fit int64, and
+the calls per state; DISTRIBUTION keeps the last window_size events and one
+snapshot per window. Attribution cases and request pairs are kept in lists.
+Each dimension's finish step runs after the last record, in fixed dimension
+order, so a given (stream, config) always produces the same report.
+Dimensions with no input are absent from the report rather than scored zero.
 
 MetricResult.confidence is the filled fraction of the dimension's evaluation
 window (calls/window_size for TOOL, fill/window_size for DISTRIBUTION) and 1.0
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -123,24 +123,42 @@ class _Cascade:
 
 class _ToolColumns:
     """TOOL state: each call's tick and latency, the calls per state, and the
-    tick and quality of each output event that carries a quality signal."""
+    tick and quality of each output event that carries a quality signal.
+
+    From TOOL's first record on, the columns are arrays of 8-byte numbers;
+    a tick outside int64 turns its column into a list that keeps it exact."""
 
     __slots__ = ("ticks", "latencies", "states", "quality_ticks", "qualities")
 
     def __init__(self) -> None:
-        self.ticks: list[int] = []
-        self.latencies: list[float] = []
+        self.ticks: MutableSequence[int] = []
+        self.latencies: MutableSequence[float] = []
         self.states = dict.fromkeys(ToolCallState, 0)
-        self.quality_ticks: list[int] = []
-        self.qualities: list[float] = []
+        self.quality_ticks: MutableSequence[int] = []
+        self.qualities: MutableSequence[float] = []
+
+    def pack(self) -> None:
+        from array import array
+        self.ticks, self.latencies = array("q"), array("d")
+        self.quality_ticks, self.qualities = array("q"), array("d")
 
     def observe_call(self, call: ToolCallRecord) -> None:
-        self.ticks.append(call.timestamp)
+        if type(self.latencies) is list:  # TOOL's first record
+            self.pack()
+        try:
+            self.ticks.append(call.timestamp)
+        except OverflowError:
+            self.ticks = [*self.ticks, call.timestamp]
         self.latencies.append(call.latency_ms)
         self.states[call.state] += 1
 
     def observe_quality(self, event: OutputEvent) -> None:
-        self.quality_ticks.append(event.timestamp)
+        if type(self.latencies) is list:  # TOOL's first record
+            self.pack()
+        try:
+            self.quality_ticks.append(event.timestamp)
+        except OverflowError:
+            self.quality_ticks = [*self.quality_ticks, event.timestamp]
         self.qualities.append(event.quality_signal)  # type: ignore[arg-type]
 
 
@@ -209,6 +227,7 @@ def _evaluate_tool_dimension(
     tool: _ToolColumns, config: EvalConfig, diagnostics: StreamDiagnostics
 ) -> Outcome:
     quality = _quality_series_for_calls(tool.ticks, tool.quality_ticks, tool.qualities)
+    tool.quality_ticks = tool.qualities = []  # freed before the calls are bucketed
     state_counts = {state.value: count for state, count in tool.states.items()}
     result = evaluate_reliability(tool.ticks, tool.latencies, state_counts, quality, config)
     if result.rho_fallback is not None:

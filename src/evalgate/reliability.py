@@ -103,9 +103,10 @@ def _latency_quality_rho(
     baseline_quality: float,
 ) -> float:
     """latency_quality_correlation over the calls' tick and latency columns."""
+    from array import array
     bucket_count = len(quality)
     assignments = bucket_indices(ticks, bucket_count)
-    buckets: list[list[float]] = [[] for _ in range(bucket_count)]
+    buckets = [array("d") for _ in range(bucket_count)]  # only the one being sorted is boxed
     for latency, b in zip(latencies, assignments):
         buckets[b].append(latency)
 
@@ -152,9 +153,9 @@ def evaluate_reliability(
 ) -> ReliabilityResult:
     """Assemble the full reliability result for one window of calls.
 
-    The calls come as columns: each call's tick and latency, in call order,
-    and the calls per state value as count_states gives them; ticks must be
-    non-empty.
+    The calls come as columns: sequences (lists, or arrays of 8-byte numbers)
+    of each call's tick and latency in call order, and the calls per state
+    value as count_states gives them; ticks must be non-empty.
 
     ``quality`` is the time-bucketed quality series aligned to the calls'
     tick span, and its first point is the baseline that quality drops are

@@ -4,8 +4,10 @@
 dimension's state as it arrives. The reference below is the former
 evaluator: it keeps every record in per-type lists until the stream ends and
 scores each dimension from its list. Both must give the same report bytes,
-the same notes in the same order, and the same error. A second test pins
-that memory does not grow with the number of steps and window events.
+the same notes in the same order, and the same error, also when ticks cross
+the int64 edge in TOOL's packed columns. Two more tests pin that memory does
+not grow with the number of steps and window events, and grows by a few
+8-byte numbers per tool call and quality-carrying output event.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import tracemalloc
 from typing import Any
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -278,26 +281,80 @@ def test_one_pass_evaluator_matches_the_list_based_one(inputs):
         outcome(reference_evaluate_records, records, config, probe)
 
 
+# --- ticks at the int64 edge --------------------------------------------------
+
+# Validation admits ticks up to ±2**1022; TOOL's packed tick columns hold
+# int64, so the first tick outside it switches a column to a list mid-stream.
+INT64_EDGES = [2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**1022, -2**1022]
+
+
+def tool_records(ticks: list[int]) -> list[Any]:
+    """A tool call and a quality-carrying output event at each tick."""
+    states = list(ToolCallState)
+    records: list[Any] = []
+    for i, tick in enumerate(ticks):
+        records.append(ToolCallRecord("svc", states[i % 3], 100.0 + 37.5 * (i % 4), tick))
+        records.append(OutputEvent("a", "s", tick, 0.9 - i / 20))
+    return records
+
+
+@pytest.mark.parametrize("edge", INT64_EDGES,
+                         ids=["2**63-1", "2**63", "-2**63", "-2**63-1", "2**1022", "-2**1022"])
+def test_ticks_at_the_int64_edge_match_the_list_based_evaluator(edge):
+    inward = -1 if edge > 0 else 1
+    # Ticks spread over the span from 0 to the edge, and ten adjacent ticks
+    # that end at it, which 8-byte floats would not tell apart.
+    for ticks in ([0, 1, edge // 4, 2, edge // 2, edge, edge * 3 // 4, 3, edge],
+                  [edge + inward * k for k in range(9, -1, -1)]):
+        records = tool_records(ticks)
+        for config in (EvalConfig(), EvalConfig(acc_delta_cumulative=True)):
+            assert outcome(one_pass, records, config, None) == \
+                outcome(reference_evaluate_records, records, config, None)
+
+        tool = evaluator._ToolColumns()
+        for record in records:
+            if isinstance(record, ToolCallRecord):
+                tool.observe_call(record)
+            else:
+                tool.observe_quality(record)
+        outside = not -2**63 <= edge < 2**63
+        assert (type(tool.ticks) is list) is (type(tool.quality_ticks) is list) is outside
+
+
 # --- bounded memory ----------------------------------------------------------
 
 # Allowance per DISTRIBUTION window: its snapshot, kept until the end, and
 # its metadata["windows"] entry. Both measure about 500 bytes together.
 WINDOW_BYTES = 640
+# Allowance per tool call and quality-carrying output event together: 16 B
+# each in TOOL's packed columns, and the finish step's bucket assignments and
+# latency buckets for the call. Both measure about 37 bytes together; boxed in
+# lists, they took about 130.
+TOOL_PAIR_BYTES = 40
 
 
-def traced_peak(n: int, config: EvalConfig) -> int:
-    """tracemalloc's peak while evaluate_records consumes n generated steps
-    and output events without a quality signal."""
-    def records():
-        for i in range(n):
-            if i % 2:
-                yield OutputEvent(f"c{i % 7}", "session", i)
-            else:
-                yield StepResult(i // 2 % 4 + 1, "step", 0.9)
+def steps_and_events(n: int):
+    """n steps and output events without a quality signal."""
+    for i in range(n):
+        if i % 2:
+            yield OutputEvent(f"c{i % 7}", "session", i)
+        else:
+            yield StepResult(i // 2 % 4 + 1, "step", 0.9)
 
+
+def calls_and_quality_events(n: int):
+    """n tool calls and n output events with a quality signal."""
+    states = list(ToolCallState)
+    for i in range(n):
+        yield ToolCallRecord("svc", states[i % 3], float(i % 997), i)
+        yield OutputEvent(f"c{i % 7}", "session", i, i % 101 / 100)
+
+
+def traced_peak(records, config: EvalConfig) -> int:
+    """tracemalloc's peak while evaluate_records consumes the records."""
     tracemalloc.start()
     try:
-        evaluate_records(records(), config)
+        evaluate_records(records, config)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,7 +363,19 @@ def traced_peak(n: int, config: EvalConfig) -> int:
 def test_steps_and_window_events_are_not_retained():
     config = EvalConfig()
     for n in (2_000, 40_000):  # the first runs fill one-time caches
-        traced_peak(n, config)
-    small, large = traced_peak(2_000, config), traced_peak(40_000, config)
+        traced_peak(steps_and_events(n), config)
+    small = traced_peak(steps_and_events(2_000), config)
+    large = traced_peak(steps_and_events(40_000), config)
     extra_windows = (40_000 - 2_000) // 2 // config.window_size
     assert large - small < 8_192 + extra_windows * WINDOW_BYTES
+
+
+def test_tool_keeps_a_few_packed_numbers_per_call_and_quality_event():
+    config = EvalConfig()
+    for n in (4_000, 40_000):  # the first runs fill one-time caches
+        traced_peak(calls_and_quality_events(n), config)
+    small = traced_peak(calls_and_quality_events(4_000), config)
+    large = traced_peak(calls_and_quality_events(40_000), config)
+    extra_windows = (40_000 - 4_000) // config.window_size
+    allowance = (40_000 - 4_000) * TOOL_PAIR_BYTES + extra_windows * WINDOW_BYTES
+    assert large - small < 8_192 + allowance

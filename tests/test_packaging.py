@@ -36,7 +36,7 @@ def test_every_runtime_import_is_stdlib_or_evalgate():
 # The extension modules from lib-dynload that importing the CLI loads into an
 # interpreter started without site, as measured on CPython 3.11. Each one is
 # a shared object mapped into every run, so each adds to every run's set-up
-# RSS; array, for one, is not needed.
+# RSS; array is not among them, because TOOL loads it with its first record.
 CLI_EXTENSION_MODULES = {
     "_bisect", "_blake2", "_hashlib", "_json", "_opcode", "_random", "_sha512", "_typing",
     "math",
@@ -56,3 +56,32 @@ def loaded_extension_modules(code: str) -> set[str]:
 def test_importing_the_cli_loads_no_new_extension_module():
     added = loaded_extension_modules("import evalgate.cli") - loaded_extension_modules("pass")
     assert added - CLI_EXTENSION_MODULES == set()
+
+
+# Request pairs, an attribution and an output event without a quality signal:
+# nothing in them reaches TOOL.
+WITHOUT_TOOL = [
+    '{"type":"request_pair","text_a":"refund my order","text_b":"please refund my order",'
+    '"decision_a":"approve","decision_b":"approve"}',
+    '{"type":"attribution","feature_names":["geography_risk_score","transaction_velocity",'
+    '"device_age_days"],"claimed_weights":[0.5,0.3,0.2],"decision_value":0.5}',
+    '{"type":"output","category":"approve","session_id":"s1","timestamp":5}',
+]
+
+
+def evaluation(lines: list[str]) -> str:
+    return (
+        "from evalgate import ProbeContext, evaluate_stream; "
+        "from evalgate.simulate import FM5_BASELINE_VALUES, FM5_ORIGINAL_VALUES, reference_probe; "
+        f"evaluate_stream({lines!r}, probe_context=ProbeContext("
+        "reference_probe(), FM5_ORIGINAL_VALUES, FM5_BASELINE_VALUES))"
+    )
+
+
+def test_array_is_loaded_only_with_tools_first_record():
+    assert "array" not in loaded_extension_modules(evaluation(WITHOUT_TOOL))
+    for tool_record in (
+        '{"type":"tool_call","tool_name":"svc","state":"PARTIAL","latency_ms":1,"timestamp":0}',
+        '{"type":"output","category":"deny","session_id":"s1","timestamp":6,"quality_signal":0.9}',
+    ):
+        assert "array" in loaded_extension_modules(evaluation([*WITHOUT_TOOL, tool_record]))
