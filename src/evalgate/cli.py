@@ -102,14 +102,17 @@ def _write_atomic(path: str | None, text: str) -> None:
     target = Path(path)
     tmp = target.with_name(f".evalgate-{os.urandom(6).hex()}-{target.name}")
     # Mode "x" applies the umask, like any new file, and never follows a link.
-    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        handle = open(tmp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

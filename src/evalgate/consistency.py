@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Protocol
@@ -36,8 +37,8 @@ class HashEmbeddingProvider:
 
     Each instance memoizes token -> index, so sha256 runs once per distinct
     token; the memo holds one entry per distinct token the instance has seen
-    and lives as long as the instance. The norm sums only the touched
-    indices; the untouched ones add exact zeros, so the values are the same.
+    and lives as long as the instance. consistency_score scores pairs with
+    this exact class from index sets, bit-equal to the cosine of the vectors.
     """
 
     def __init__(self, dimension: int = 256):
@@ -46,20 +47,50 @@ class HashEmbeddingProvider:
         self.dimension = dimension
         self._index_of: dict[str, int] = {}
 
-    def embed(self, text: str) -> list[float]:
+    def _indices(self, text: str) -> list[int]:
+        """The vector index of each lowered token (of the text itself if it has none)."""
+        tokens = text.lower().split() or [text]
         index_of = self._index_of
-        counts: dict[int, float] = {}
-        for token in text.lower().split() or [text]:
-            index = index_of.get(token)
-            if index is None:
+        try:
+            return list(map(index_of.__getitem__, tokens))
+        except KeyError:
+            for token in set(tokens).difference(index_of):
                 digest = hashlib.sha256(token.encode("utf-8")).digest()
-                index = index_of[token] = int.from_bytes(digest[:8], "big") % self.dimension
-            counts[index] = counts.get(index, 0.0) + 1.0
-        norm = math.sqrt(math.fsum(x * x for x in counts.values()))
+                index_of[token] = int.from_bytes(digest[:8], "big") % self.dimension
+            return list(map(index_of.__getitem__, tokens))
+
+    @staticmethod
+    def _unit_counts(indices: list[int]) -> dict[int, float]:
+        """The embedding's nonzero entries: {index: count / norm}."""
+        counts = Counter(indices)
+        norm = math.sqrt(math.fsum(count * count for count in counts.values()))
+        return {index: count / norm for index, count in counts.items()}
+
+    def embed(self, text: str) -> list[float]:
         vector = [0.0] * self.dimension
-        for index, count in counts.items():
-            vector[index] = count / norm
+        for index, value in self._unit_counts(self._indices(text)).items():
+            vector[index] = value
         return vector
+
+    def _cosine(self, text_a: str, text_b: str) -> float:
+        """cosine_similarity(embed(text_a), embed(text_b)) bit for bit, from the index sets.
+
+        With no index collision in either text every count is 1, so each fsum
+        of cosine_similarity adds m copies of one product: one float multiply.
+        Equal vectors need no identity check: their dot equals su and sv, within
+        a few ulps of 1, where dot / (sqrt(su) * sqrt(sv)) is never below 1.0.
+        """
+        a, b = self._indices(text_a), self._indices(text_b)
+        set_a, set_b = set(a), set(b)
+        if len(set_a) == len(a) and len(set_b) == len(b):
+            wa, wb = 1.0 / math.sqrt(len(a)), 1.0 / math.sqrt(len(b))
+            su, sv = len(a) * (wa * wa), len(b) * (wb * wb)
+            dot = len(set_a & set_b) * (wa * wb)
+        else:
+            u, v = self._unit_counts(a), self._unit_counts(b)
+            su, sv = math.fsum(x * x for x in u.values()), math.fsum(x * x for x in v.values())
+            dot = math.fsum(x * v[i] for i, x in u.items() if i in v)
+        return min(1.0, max(-1.0, dot / (math.sqrt(su) * math.sqrt(sv))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,16 +126,20 @@ def consistency_score(
     Disagreeing pairs still contribute to the similarity mean. The flag
     fires on agreement rate alone, against theta_ar.
     """
-    rate = agreement_rate(pairs)
+    similarity = (provider._cosine if type(provider) is HashEmbeddingProvider
+                  else lambda a, b: cosine_similarity(provider.embed(a), provider.embed(b)))
+    agreed = 0
     similarities: list[float] = []
     for pair in pairs:
+        agreed += pair.decision_a == pair.decision_b
         try:
-            sim = cosine_similarity(provider.embed(pair.text_a), provider.embed(pair.text_b))
+            sim = similarity(pair.text_a, pair.text_b)
         except UndefinedStatisticError as exc:
             raise EvaluationError(
                 f"embedding failed for pair ({pair.text_a!r}, {pair.text_b!r}): {exc}"
             ) from exc
         similarities.append(sim)
+    rate = agreed / len(pairs)
     mean_similarity = math.fsum(similarities) / len(similarities)
     return ConsistencyResult(
         agreement_rate=rate,

@@ -559,6 +559,22 @@ def test_output_into_missing_directory_exits_two_and_writes_nothing(tmp_path, ca
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
     assert "No such file or directory" in err_lines[0]
+    assert repr(str(missing / "r.json")) in err_lines[0]  # the path asked for, not the temp file
+    assert ".evalgate-" not in err_lines[0]
+
+
+def test_output_onto_a_directory_exits_two_and_names_it(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    capsys.readouterr()
+    target = tmp_path / "out"
+    target.mkdir()
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(target)) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert "Is a directory" in err_lines[0] and repr(str(target)) in err_lines[0]
+    assert ".evalgate-" not in err_lines[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "t.jsonl"]
 
 
 def test_report_mode_respects_the_umask(tmp_path):

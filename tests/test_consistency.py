@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -70,8 +71,8 @@ def test_score_is_product_of_independent_factors():
     expected_mean = math.fsum(sims) / len(sims)
     result = consistency_score(pairs, PROVIDER, CFG)
     assert result.agreement_rate == expected_rate
-    assert result.mean_similarity == pytest.approx(expected_mean, abs=1e-15)
-    assert result.score == pytest.approx(expected_rate * expected_mean, abs=1e-15)
+    assert result.mean_similarity == expected_mean
+    assert result.score == expected_rate * expected_mean
     assert result.flagged  # 0.75 < default theta_ar 0.9
 
 
@@ -234,3 +235,112 @@ def test_report_bytes_of_many_pairs_are_pinned(tmp_path):
     assert metadata["pair_count"] == 2000
     digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
     assert (code, digest, metadata["mean_similarity"].hex()) == PINNED_MANY_PAIRS
+
+
+# Tokens whose lowering, case or width tests the tokenizer: "İ" lowers to two
+# code points, "ß" and "ﬁ" upper-case to two letters, "é" has two spellings.
+TOKENS = ["a", "A", "b", "vault", "Vault", "VAULT", "İ", "i̇", "ß", "SS", "ss", "ﬁ", "FI",
+          "fi", "é", "e\u0301", "請", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
+SEPARATORS = [" ", "  ", "\t", "\n", " \u3000 "]
+BLANK_TEXTS = ["", " ", "\t\n", "\u3000", "   "]
+
+
+@st.composite
+def text_pairs(draw):
+    """Two texts; text_b is often text_a changed in case, order or repetition."""
+    tokens = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12))
+    separator = draw(st.sampled_from(SEPARATORS))
+    text_a = draw(st.one_of(st.sampled_from(BLANK_TEXTS), st.just(separator.join(tokens))))
+    text_b = draw(st.one_of(
+        st.just(text_a), st.just(text_a.upper()), st.just(text_a.lower()),
+        st.just(text_a.swapcase()), st.just(" ".join(reversed(text_a.split()))),
+        st.just(f"{text_a} {tokens[0]}"), st.sampled_from(BLANK_TEXTS),
+        st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12).map(" ".join),
+    ))
+    return (text_a, text_b) if draw(st.booleans()) else (text_b, text_a)
+
+
+def has_collision(provider: HashEmbeddingProvider, text: str) -> bool:
+    indices = provider._indices(text)
+    return len(set(indices)) < len(indices)
+
+
+def test_pair_path_is_bit_equal_to_the_cosine_of_the_embeddings():
+    reached = set()
+
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 3, 7, 256]), text_pairs())
+    def check(dimension, texts):
+        text_a, text_b = texts
+        provider, dense = HashEmbeddingProvider(dimension), HashEmbeddingProvider(dimension)
+        expected = cosine_similarity(dense.embed(text_a), dense.embed(text_b))
+        assert provider._cosine(text_a, text_b).hex() == expected.hex()
+        collision = has_collision(provider, text_a) or has_collision(provider, text_b)
+        reached.add((collision, expected == 1.0))
+
+    check()
+    # both branches, each with equal and with unequal vectors
+    assert reached == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_equal_texts_score_exactly_one_without_an_identity_check():
+    provider = HashEmbeddingProvider(2**40)  # no index collision among these tokens
+    tokens = [f"t{i}" for i in range(1000)]
+    for n in range(1, len(tokens) + 1):
+        text = " ".join(tokens[:n])
+        assert not has_collision(provider, text)
+        assert provider._cosine(text, text.upper()) == 1.0
+        assert provider._cosine(f"{text} t0 t0", f"T0 T0 {text}") == 1.0  # counts 3 and 1
+
+
+class DenseProvider:
+    """Wraps the bundled provider so that consistency_score takes the dense path."""
+
+    def __init__(self, inner: HashEmbeddingProvider):
+        self.inner = inner
+        self.dimension = inner.dimension
+
+    def embed(self, text: str) -> list[float]:
+        return self.inner.embed(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 256]), st.lists(
+    st.builds(pair, texts, texts, decisions, decisions)
+    | st.builds(lambda ab, da, db: pair(*ab, da, db), text_pairs().filter(all), decisions, decisions),
+    min_size=1, max_size=20,
+))
+def test_pair_path_gives_the_dense_paths_consistency_result(dimension, pairs):
+    fast = consistency_score(pairs, HashEmbeddingProvider(dimension), CFG)
+    dense = consistency_score(pairs, DenseProvider(HashEmbeddingProvider(dimension)), CFG)
+    assert repr(fast) == repr(dense)
+
+
+def test_bundled_provider_scores_pairs_without_embedding(monkeypatch):
+    pairs = [pair("Grant access to the vault", "grant ACCESS vault vault"), pair("a", "A")]
+    expected = consistency_score(pairs, DenseProvider(HashEmbeddingProvider()), CFG)
+
+    def refuse(self, text):
+        raise AssertionError("embed called")
+
+    monkeypatch.setattr(HashEmbeddingProvider, "embed", refuse)
+    assert consistency_score(pairs, HashEmbeddingProvider(), CFG) == expected
+
+    class Subclass(HashEmbeddingProvider):
+        pass
+
+    with pytest.raises(AssertionError, match="embed called"):
+        consistency_score(pairs, Subclass(), CFG)  # a subclass keeps the embed path
+
+
+def test_pair_path_builds_no_vector():
+    provider = HashEmbeddingProvider(2**40)  # one vector would need 8 TiB
+    pairs = [pair("alpha beta gamma", "beta gamma delta"), pair("a a b", "a b b")]
+    tracemalloc.start()
+    try:
+        result = consistency_score(pairs, provider, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < result.mean_similarity < 1.0
+    assert peak < 8192
