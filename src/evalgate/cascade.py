@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import EvalConfig, StepResult
 
@@ -20,8 +19,9 @@ class InsufficientTraceError(ValueError):
     """Raised when a pipeline trace is too short to evaluate."""
 
 
-@dataclass(frozen=True, slots=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
+    """One pipeline's score and signals; equal to a plain tuple of the same values."""
+
     mean_confidence: float
     cis: float
     score: float

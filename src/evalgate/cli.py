@@ -5,12 +5,14 @@ Exit codes: 0 when the gate passes, 1 when it fails, 2 on any error (input,
 configuration, output, or an unexpected exception); exit 2 writes no report.
 The report document is deterministic for a given (input bytes, config
 bytes): it contains no wall-clock values, and writes are atomic (temp file
-then rename). Timing goes to stderr only.
+then rename) except onto a FIFO or device, which is written in place. Timing
+goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -100,9 +102,14 @@ def _write_atomic(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
-    tmp = target.with_name(f".evalgate-{os.urandom(6).hex()}-{target.name}")
-    # Mode "x" applies the umask, like any new file, and never follows a link.
     try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            # A FIFO, device or directory: a rename would replace it, so write into it.
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return
+        tmp = target.with_name(f".evalgate-{os.urandom(6).hex()}-{target.name}")
+        # Mode "x" applies the umask, like any new file, and never follows a link.
         handle = open(tmp, "x", encoding="utf-8")
         try:
             with handle:
@@ -190,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # process entry: collections and exit skip the start-up heap
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -13,8 +13,7 @@ import hashlib
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 from .model import EvalConfig, EvaluationError, RequestPair
 from .stats import UndefinedStatisticError, cosine_similarity
@@ -93,8 +92,9 @@ class HashEmbeddingProvider:
         return min(1.0, max(-1.0, dot / (math.sqrt(su) * math.sqrt(sv))))
 
 
-@dataclass(frozen=True, slots=True)
-class ConsistencyResult:
+class ConsistencyResult(NamedTuple):
+    """The score and signals over all request pairs; equal to a plain tuple of the same values."""
+
     agreement_rate: float
     mean_similarity: float
     score: float

@@ -15,16 +15,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import EvalConfig, OutputEvent
 from .stats import normalized_entropy
 
 
-@dataclass(frozen=True, slots=True)
-class DistributionSnapshot:
+class DistributionSnapshot(NamedTuple):
+    """One window's score and sub-signals; equal to a plain tuple of the same values."""
+
     entropy: float
     diversity: float
     repeat_rate: float

@@ -11,8 +11,7 @@ prediction: a correct decision wearing the wrong explanation.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 from .model import AttributionCase, EvalConfig, EvaluationError, ValidationError
 from .stats import spearman
@@ -26,18 +25,19 @@ class ModelProbe(Protocol):
     def predict(self, feature_values: Mapping[str, float]) -> float: ...
 
 
-@dataclass(frozen=True)
-class ProbeContext:
+class ProbeContext(NamedTuple):
     """Everything needed to perturb a recorded decision: the probe plus the
-    original and baseline feature values it was called with."""
+    original and baseline feature values it was called with; equal to a
+    plain tuple of the same values."""
 
     probe: ModelProbe
     original_values: Mapping[str, float]
     baseline_values: Mapping[str, float]
 
 
-@dataclass(frozen=True, slots=True)
-class ExplanationResult:
+class ExplanationResult(NamedTuple):
+    """One attribution case's score and impacts; equal to a plain tuple of the same values."""
+
     acs: float
     impacts: tuple[float, ...]
     top_impact: float

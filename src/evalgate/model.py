@@ -3,10 +3,11 @@
 Trace records arrive as a line-delimited JSON stream, one record per line,
 discriminated by a ``type`` field. The five trace records are slotted value
 objects: they check and normalise their fields on construction, the engine
-never mutates them, and they are not hashable. Metric results, reports and
-the configuration are frozen. Timestamps are integer ticks supplied by the
-trace. No wall-clock value sits in a metric result or a report, so a replay
-gives an equal report.
+never mutates them, and they are not hashable. Metric results and the
+configuration are frozen dataclasses; a report is a NamedTuple, immutable
+and equal to a plain tuple of its values. Timestamps are integer ticks from
+the trace. No wall-clock value sits in a metric result or a report, so a
+replay gives an equal report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from operator import itemgetter
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 
 class ValidationError(ValueError):
@@ -243,9 +244,9 @@ class MetricResult:
         object.__setattr__(self, "confidence", _require_unit("confidence", self.confidence))
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
-    """Per-dimension results, the aggregate score, and the gate verdict."""
+class EvalReport(NamedTuple):
+    """Per-dimension results, the aggregate score, and the gate verdict;
+    equal to a plain tuple of the same values."""
 
     per_dimension: dict[Dimension, MetricResult]
     overall_score: float

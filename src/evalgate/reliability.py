@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import EvalConfig, ToolCallRecord, ToolCallState
 from .stats import UndefinedStatisticError, pearson
@@ -22,8 +21,9 @@ from .stats import UndefinedStatisticError, pearson
 LATENCY_BUCKET_COUNT = 10
 
 
-@dataclass(frozen=True, slots=True)
-class ReliabilityResult:
+class ReliabilityResult(NamedTuple):
+    """The tool calls' score and signals; equal to a plain tuple of the same values."""
+
     prr: float
     rho_lq: float
     score: float

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     AttributionCase,
@@ -82,17 +83,19 @@ _FM2_STAGE_SPAN = 1000
 _QUALITY_WIGGLE = 0.004
 
 
-@dataclass(frozen=True, slots=True)
-class Fm2Stage:
+class Fm2Stage(NamedTuple):
+    """One fm2 stage's calls and quality; equal to a plain tuple of the same values."""
+
     calls: tuple[ToolCallRecord, ...]
     quality: tuple[float, ...]
     baseline_quality: float
     accuracy: float
-    quality_events: tuple[OutputEvent, ...] = field(default=())
+    quality_events: tuple[OutputEvent, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Fm2Scenario:
+class Fm2Scenario(NamedTuple):
+    """The fm2 stages in order; equal to a plain tuple of the same values."""
+
     stages: tuple[Fm2Stage, ...]
 
     @property
@@ -283,8 +286,9 @@ class LinearProbe:
         return min(1.0, max(0.0, raw))
 
 
-@dataclass(frozen=True, slots=True)
-class Fm5Case:
+class Fm5Case(NamedTuple):
+    """One fm5 case with its probe and values; equal to a plain tuple of the same values."""
+
     case: AttributionCase
     probe: LinearProbe
     original_values: dict[str, float]

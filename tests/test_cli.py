@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -575,6 +576,28 @@ def test_output_onto_a_directory_exits_two_and_names_it(tmp_path, capsys):
     assert "Is a directory" in err_lines[0] and repr(str(target)) in err_lines[0]
     assert ".evalgate-" not in err_lines[0]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "t.jsonl"]
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--input", "t.jsonl"],
+    ["simulate", "--scenario", "fm2", "--seed", "7"],
+])
+def test_output_onto_a_fifo_writes_into_it_and_keeps_it(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    simulate_to("t.jsonl", "fm1", "--variant", "healthy")
+    assert run_cli(*command, "--output", "regular") in (0, 1)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received: list[bytes] = []
+    # A daemon thread, so a writer that never opens the FIFO fails the test, not the session.
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(*command, "--output", "fifo") in (0, 1)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [(tmp_path / "regular").read_bytes()]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "regular", "t.jsonl"]
 
 
 def test_report_mode_respects_the_umask(tmp_path):
