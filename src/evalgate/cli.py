@@ -2,11 +2,10 @@
 scenario simulator.
 
 Exit codes: 0 when the gate passes, 1 when it fails, 2 on any error (input,
-configuration, output, or an unexpected exception); exit 2 writes no report.
-The report document is deterministic for a given (input bytes, config
-bytes): it contains no wall-clock values, and writes are atomic (temp file
-then rename) except onto a FIFO or device, which is written in place. Timing
-goes to stderr only.
+configuration, output, or an unexpected exception). The report holds no
+wall-clock value, so it is the same for the same input and config bytes. It
+goes to a temp file then a rename, so exit 2 leaves none; a FIFO or device is
+written in place and may get part of one. Timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import fields
@@ -104,10 +104,11 @@ def _write_atomic(path: str | None, text: str) -> None:
     target = Path(path)
     try:
         if os.path.exists(target) and not os.path.isfile(target):
-            # A FIFO, device or directory: a rename would replace it, so write into it.
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            return
+            # A rename would replace a FIFO or device; the file opened decides, not the name.
+            with open(os.open(target, os.O_WRONLY), "w", encoding="utf-8") as handle:
+                if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    handle.write(text)
+                    return
         tmp = target.with_name(f".evalgate-{os.urandom(6).hex()}-{target.name}")
         # Mode "x" applies the umask, like any new file, and never follows a link.
         handle = open(tmp, "x", encoding="utf-8")

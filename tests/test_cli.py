@@ -600,6 +600,23 @@ def test_output_onto_a_fifo_writes_into_it_and_keeps_it(tmp_path, monkeypatch, c
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "regular", "t.jsonl"]
 
 
+def test_a_regular_file_that_the_name_check_misses_is_still_renamed_over(tmp_path, monkeypatch):
+    # A regular file put at the path after the name was checked: the opened
+    # file decides, so it is replaced by a rename, never truncated in place.
+    monkeypatch.chdir(tmp_path)
+    simulate_to("t.jsonl", "fm1", "--variant", "healthy")
+    assert run_cli("evaluate", "--input", "t.jsonl", "--output", "regular") == 0
+    target = tmp_path / "out"
+    target.write_text("old")
+    inode = target.stat().st_ino
+    is_file = os.path.isfile
+    monkeypatch.setattr(os.path, "isfile", lambda path: is_file(path) and Path(path) != target)
+    assert run_cli("evaluate", "--input", "t.jsonl", "--output", str(target)) == 0
+    assert target.stat().st_ino != inode
+    assert target.read_bytes() == (tmp_path / "regular").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "regular", "t.jsonl"]
+
+
 def test_report_mode_respects_the_umask(tmp_path):
     trace = tmp_path / "t.jsonl"
     report_path = tmp_path / "r.json"
