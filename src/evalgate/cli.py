@@ -3,9 +3,10 @@ scenario simulator.
 
 Exit codes: 0 when the gate passes, 1 when it fails, 2 on any error (input,
 configuration, output, or an unexpected exception). The report holds no
-wall-clock value, so it is the same for the same input and config bytes. It
-goes to a temp file then a rename, so exit 2 leaves none; a FIFO or device is
-written in place and may get part of one. Timing goes to stderr only.
+wall-clock value, so it is the same for the same input and config bytes. It is
+encoded straight into its output, never held whole in memory: a temp file then
+a rename, so exit 2 leaves none, or a FIFO, device or stdout, written in place,
+which may get part of one. Timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import os
 import stat
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import fields
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 from .evaluator import StreamDiagnostics, evaluate_stream
 from .explanation import ProbeContext
@@ -97,9 +99,15 @@ def report_document(
     }
 
 
-def _write_atomic(path: str | None, text: str) -> None:
+def _write_atomic(path: str | None, emit: Callable[[TextIO], object]) -> None:
+    """Call `emit` on the handle that `path` (stdout when None) names."""
     if path is None:
-        sys.stdout.write(text)
+        try:
+            emit(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left: let exit's flush write nowhere, not fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         return
     target = Path(path)
     try:
@@ -107,14 +115,15 @@ def _write_atomic(path: str | None, text: str) -> None:
             # A rename would replace a FIFO or device; the file opened decides, not the name.
             with open(os.open(target, os.O_WRONLY), "w", encoding="utf-8") as handle:
                 if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                    handle.write(text)
+                    emit(handle)
                     return
-        tmp = target.with_name(f".evalgate-{os.urandom(6).hex()}-{target.name}")
+        # A bounded share of the name keeps the temp name under NAME_MAX (255 bytes).
+        tmp = target.with_name(f".evalgate-{os.urandom(6).hex()}-{target.name[:32]}")
         # Mode "x" applies the umask, like any new file, and never follows a link.
         handle = open(tmp, "x", encoding="utf-8")
         try:
             with handle:
-                handle.write(text)
+                emit(handle)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -140,8 +149,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"error: --strict and {count} line(s) failed to parse", file=sys.stderr)
         return EXIT_ERROR
 
-    document = json.dumps(report_document(report, config, diagnostics), indent=2) + "\n"
-    _write_atomic(args.output, document)
+    document = report_document(report, config, diagnostics)
+
+    def emit(handle: TextIO) -> None:
+        json.dump(document, handle, indent=2)  # json.dumps's encoder, written chunk by chunk
+        handle.write("\n")
+
+    _write_atomic(args.output, emit)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     for dim, result in report.per_dimension.items():
@@ -166,8 +180,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         variant=args.variant or default_variant(args.scenario),
     )
     records = generate(spec)
-    text = "".join(serialize_trace_record(r) + "\n" for r in records)
-    _write_atomic(args.output, text)
+    _write_atomic(
+        args.output,
+        lambda handle: handle.writelines(serialize_trace_record(r) + "\n" for r in records),
+    )
     print(f"wrote {len(records)} records for {spec.scenario}", file=sys.stderr)
     return EXIT_PASS
 

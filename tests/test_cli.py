@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,7 +14,10 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +27,13 @@ from evalgate import cli
 from evalgate.cli import ConfigError, load_config, main
 from evalgate.evaluator import evaluate_stream
 from evalgate.model import EvalConfig, StepResult, serialize_trace_record
-from evalgate.simulate import ScenarioSpec, default_variant, generate
+from evalgate.simulate import (
+    FM1_VARIANTS,
+    FM5_VARIANTS,
+    ScenarioSpec,
+    default_variant,
+    generate,
+)
 
 
 def run_cli(*argv: str) -> int:
@@ -578,26 +589,219 @@ def test_output_onto_a_directory_exits_two_and_names_it(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "t.jsonl"]
 
 
-@pytest.mark.parametrize("command", [
+OUTPUT_COMMANDS = [
     ["evaluate", "--input", "t.jsonl"],
     ["simulate", "--scenario", "fm2", "--seed", "7"],
-])
+]
+
+
+def fifo_bytes(fifo: Path, *argv: str) -> tuple[int, bytes]:
+    """Run the CLI with `--output fifo` while a thread reads the FIFO."""
+    received: list[bytes] = []
+    # A daemon thread, so a writer that never opens the FIFO fails the test, not the session.
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = run_cli(*argv, "--output", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    return code, received[0]
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
 def test_output_onto_a_fifo_writes_into_it_and_keeps_it(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     simulate_to("t.jsonl", "fm1", "--variant", "healthy")
     assert run_cli(*command, "--output", "regular") in (0, 1)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    received: list[bytes] = []
-    # A daemon thread, so a writer that never opens the FIFO fails the test, not the session.
-    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    assert run_cli(*command, "--output", "fifo") in (0, 1)
-    reader.join(timeout=30)
-    assert not reader.is_alive()
+    code, received = fifo_bytes(fifo, *command)
+    assert code in (0, 1)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    assert received == [(tmp_path / "regular").read_bytes()]
+    assert received == (tmp_path / "regular").read_bytes()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "regular", "t.jsonl"]
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_an_output_name_of_250_bytes_is_written_and_leaves_no_temp(tmp_path, monkeypatch, command):
+    # The temp file's name must fit NAME_MAX (255 bytes) whenever the target's does.
+    monkeypatch.chdir(tmp_path)
+    simulate_to("t.jsonl", "fm1", "--variant", "healthy")
+    assert run_cli(*command, "--output", "regular") in (0, 1)
+    name = "r" * 245 + ".json"
+    assert run_cli(*command, "--output", name) in (0, 1)
+    assert (tmp_path / name).read_bytes() == (tmp_path / "regular").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([name, "regular", "t.jsonl"])
+
+
+def cli_env(unbuffered: bool = False) -> dict[str, str]:
+    """The environment of a CLI subprocess: this checkout's evalgate, and
+    stdout block-buffered, as it is on a pipe by default, or unbuffered."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def windowed_trace(directory: Path, events: int) -> list[str]:
+    """Arguments that evaluate a trace with one DISTRIBUTION window per output
+    event and a bad line after every other event, so the report grows with both."""
+    trace, config = directory / "t.jsonl", directory / "c.json"
+    trace.write_text("".join(
+        line + ("{bad\n" if i % 2 else "")
+        for i, line in enumerate(_output_trace(events).splitlines(keepends=True))
+    ))
+    config.write_text('{"window_size": 1}')
+    return ["evaluate", "--input", str(trace), "--config", str(config)]
+
+
+# Unbuffered stdout does not check a write's short count, so a single write of
+# the whole output could lose the broken pipe; both modes must report it.
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_a_stdout_reader_that_stops_early_gets_one_error_line_and_exit_two(
+    tmp_path, command, unbuffered
+):
+    argv = (windowed_trace(tmp_path, 500) if command == "evaluate"
+            else ["simulate", "--scenario", "fm2"])  # about 167 KB and 28 KB
+    read_end, write_end = os.pipe()
+    # A pipe smaller than the output, so the writer is still writing when the reader stops.
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evalgate.cli", *argv],
+        env=cli_env(unbuffered),
+        stdout=write_end, stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    head = os.read(read_end, 100)
+    os.close(read_end)
+    stderr = proc.communicate(timeout=60)[1].splitlines()
+    assert head and proc.returncode == 2
+    assert [line for line in stderr if not line.startswith(b"parse error: ")] == [
+        b"error: [Errno 32] Broken pipe"
+    ]
+
+
+def test_a_broken_stdout_leaves_nothing_for_interpreter_exit_to_flush():
+    # Bytes still buffered when the pipe breaks would make exit's own flush
+    # print "Exception ignored ... BrokenPipeError" and exit 120.
+    code = (
+        "import sys\n"
+        "from evalgate import cli\n"
+        "def emit(handle):\n"
+        "    handle.write('still buffered')\n"
+        "    raise BrokenPipeError(32, 'Broken pipe')\n"
+        "try:\n"
+        "    cli._write_atomic(None, emit)\n"
+        "except BrokenPipeError:\n"
+        "    sys.exit(2)\n"
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=cli_env(),
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+SIMULATE_SPECS = (
+    [("fm1", variant) for variant in FM1_VARIANTS] + [("fm2", ""), ("fm3", "")]
+    + [("fm5", variant) for variant in FM5_VARIANTS]
+)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("scenario, variant", SIMULATE_SPECS)
+def test_simulate_writes_the_same_lines_to_a_file_stdout_and_a_fifo(
+    tmp_path, capsys, scenario, variant, seed
+):
+    records = generate(ScenarioSpec(scenario, seed, variant or default_variant(scenario)))
+    expected = "".join(serialize_trace_record(r) + "\n" for r in records)
+    argv = ["simulate", "--scenario", scenario, "--seed", str(seed),
+            *(["--variant", variant] if variant else [])]
+    assert run_cli(*argv, "--output", str(tmp_path / "t.jsonl")) == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == expected
+    os.mkfifo(tmp_path / "fifo")
+    assert fifo_bytes(tmp_path / "fifo", *argv) == (0, expected.encode())
+    assert (tmp_path / "t.jsonl").read_text(encoding="utf-8") == expected
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.floats() | st.text()
+    | st.sampled_from([-0.0, 1e308, -1e308, 5e-324, 2**64]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(document=json_values)
+def test_the_report_is_encoded_as_json_dumps_into_stdout_a_file_and_a_fifo(document):
+    expected = json.dumps(document, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(cli, "report_document", lambda *_: document):
+        trace, report, fifo = Path(tmp, "t.jsonl"), Path(tmp, "r.json"), Path(tmp, "fifo")
+        simulate_to(trace, "fm1", "--variant", "healthy")
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert run_cli("evaluate", "--input", str(trace)) == 0
+        assert stdout.getvalue() == expected
+        assert run_cli("evaluate", "--input", str(trace), "--output", str(report)) == 0
+        assert report.read_text(encoding="utf-8") == expected
+        os.mkfifo(fifo)
+        assert fifo_bytes(fifo, "evaluate", "--input", str(trace)) == (0, expected.encode())
+
+
+def test_a_write_that_fails_midway_keeps_the_old_report_and_leaves_no_temp(
+    tmp_path, monkeypatch, capsys
+):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    target = tmp_path / "r.json"
+    target.write_bytes(b"old report\n")
+    written: list[int] = []
+
+    class FailingDict(dict):
+        def items(self):  # the encoder reaches this after 64 KiB of text
+            written.extend(path.stat().st_size for path in tmp_path.glob(".evalgate-*"))
+            raise RuntimeError("encoder failed")
+
+    document = {"text": "x" * 65536, "late": FailingDict(key="value")}
+    monkeypatch.setattr(cli, "report_document", lambda *_: document)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(target)) == 2
+    assert len(written) == 1 and written[0] >= 65536  # part of the report had been written
+    assert target.read_bytes() == b"old report\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json", "t.jsonl"]
+    assert capsys.readouterr().err == "error: unexpected RuntimeError: encoder failed\n"
+
+
+# What writing a report may allocate on top of the evaluated state, whatever
+# the report's size: the encoder's buffers and the CLI's own small objects.
+WRITE_BYTES = 128 * 1024
+
+
+def test_writing_a_report_of_two_megabytes_allocates_a_bounded_amount(tmp_path, monkeypatch):
+    report_path = tmp_path / "r.json"
+    argv = [*windowed_trace(tmp_path, 6000), "--output", str(report_path)]
+    with open(tmp_path / "t.jsonl", "rb") as handle:
+        evaluated = evaluate_stream(handle, load_config(tmp_path / "c.json"))
+    monkeypatch.setattr(cli, "evaluate_stream", lambda *args, **kwargs: evaluated)
+    assert run_cli(*argv) == 1  # first-call caches fill outside the traced run
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report_path.stat().st_size > 2_000_000
+    assert peak < WRITE_BYTES
 
 
 def test_a_regular_file_that_the_name_check_misses_is_still_renamed_over(tmp_path, monkeypatch):
