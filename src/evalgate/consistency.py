@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Sequence
 from typing import Any, NamedTuple, Protocol
 
-from .model import EvalConfig, EvaluationError, RequestPair
+from .model import EvalConfig, EvaluationError, RequestPair, _echo
 from .stats import UndefinedStatisticError, cosine_similarity
 
 
@@ -136,7 +136,7 @@ def consistency_score(
             sim = similarity(pair.text_a, pair.text_b)
         except UndefinedStatisticError as exc:
             raise EvaluationError(
-                f"embedding failed for pair ({pair.text_a!r}, {pair.text_b!r}): {exc}"
+                f"embedding failed for pair {_echo((pair.text_a, pair.text_b))}: {exc}"
             ) from exc
         similarities.append(sim)
     rate = agreed / len(pairs)

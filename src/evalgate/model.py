@@ -81,6 +81,7 @@ _FLOAT_MAX = sys.float_info.max
 
 # Ticks lie in [-MAX_TICK, MAX_TICK], so the difference of any two converts to a float.
 MAX_TICK = 2**1022
+_ECHO_CHARS = 100  # an error text echoes at most this many characters of a value's repr
 
 
 def _require_tick(value: Any) -> None:
@@ -90,6 +91,11 @@ def _require_tick(value: Any) -> None:
         raise ValidationError("timestamp must be an integer tick")
     if abs(value) > MAX_TICK:
         raise ValidationError("timestamp must be an integer tick in [-2**1022, 2**1022]")
+
+
+def _echo(value: Any) -> str:
+    text = repr(value)
+    return text if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]}...[{len(text)} characters]"
 
 
 # The records below check every field in __post_init__. Each check of a
@@ -132,7 +138,7 @@ class ToolCallRecord:
             self.state = _STATES[self.state]
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValidationError(
-                f"state must be one of {[s.value for s in ToolCallState]}, got {self.state!r}"
+                f"state must be one of {[s.value for s in ToolCallState]}, got {_echo(self.state)}"
             ) from None
         if not isinstance(self.tool_name, str):
             raise ValidationError("tool_name must be a string")
@@ -380,7 +386,7 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
     try:
         cls, required, optional = _WIRE_SCHEMA[record_type]
     except (KeyError, TypeError):  # TypeError: an unhashable type value
-        raise TraceParseError(f"unknown record type: {record_type!r}", line_number) from None
+        raise TraceParseError(f"unknown record type: {_echo(record_type)}", line_number) from None
     try:
         values = required(payload)
     except KeyError as exc:

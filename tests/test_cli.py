@@ -213,14 +213,22 @@ REPORT_DIGESTS = {
 }
 
 
+def padded(trace: str) -> str:
+    """The trace with an unknown field in each record and a blank line after each line."""
+    return "".join(('{"reasoning":"why",' + line[1:] if line.startswith('{"type"') else line)
+                   + "\n\n" for line in trace.splitlines())
+
+
 @pytest.mark.parametrize("scenario, variant", list(REPORT_DIGESTS))
 def test_report_bytes_are_pinned(tmp_path, scenario, variant):
     trace = tmp_path / "t.jsonl"
     report_path = tmp_path / "r.json"
     simulate_to(trace, scenario, "--seed", "42", *(["--variant", variant] if variant else []))
-    code = run_cli("evaluate", "--input", str(trace), "--output", str(report_path))
-    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
-    assert (code, digest) == REPORT_DIGESTS[scenario, variant]
+    for text in (trace.read_text(), padded(trace.read_text())):  # padding moves no byte
+        trace.write_text(text)
+        code = run_cli("evaluate", "--input", str(trace), "--output", str(report_path))
+        digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+        assert (code, digest) == REPORT_DIGESTS[scenario, variant]
 
 
 # All five record types, two bad lines, a one-step pipeline (a cascade: note)
@@ -259,6 +267,33 @@ def test_report_bytes_with_notes_and_parse_errors_are_pinned(tmp_path):
     assert (code, digest) == (
         1, "d8c9bdca87d02a391057b41cde1da03e03b4b3d9959ded16ac5b30b964c2718c"
     )
+    # Padding moves only the bad lines' numbers: line n becomes line 2n - 1.
+    text = report_path.read_text()
+    trace.write_text(padded(MIXED_TRACE))
+    moved = run_cli("evaluate", "--input", str(trace), "--output", str(report_path))
+    renumbered = re.sub(r'("line": |line )(\d+)', lambda m: f"{m[1]}{2 * int(m[2]) - 1}", text)
+    assert (moved, report_path.read_text()) == (code, renumbered) != (code, text)
+
+
+def test_a_ten_megabyte_type_or_state_adds_under_a_kilobyte_to_report_and_stderr(tmp_path, capsys):
+    trace, report = tmp_path / "t.jsonl", tmp_path / "r.json"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    healthy, huge = trace.read_text(), "x" * 10_000_000
+    runs = []
+    for bad in ("", {"type": huge}, {"type": "tool_call", "tool_name": "t", "state": huge,
+                                     "latency_ms": 1, "timestamp": 0}):
+        trace.write_text(healthy + (json.dumps(bad) + "\n" if bad else ""))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--input", str(trace), "--output", str(report)) in (0, 1)
+        errors = json.loads(report.read_text())["parse_errors"]
+        runs.append((report.stat().st_size, len(capsys.readouterr().err), errors))
+    # At most 100 characters of the value's repr, and a mark that says it was cut.
+    echoed = "'" + "x" * 99 + "...[10000002 characters]"
+    for (report_size, stderr_size, errors), message in zip(runs[1:], (
+            f"unknown record type: {echoed}",
+            f"state must be one of ['SUCCESS', 'PARTIAL', 'FAILED'], got {echoed}")):
+        assert report_size - runs[0][0] < 1024 and stderr_size - runs[0][1] < 1024
+        assert errors == [{"line": 6, "message": f"line 6: {message}"}]
 
 
 def _repeating_trace() -> str:

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from evalgate.cli import main
 from evalgate.consistency import (
     HashEmbeddingProvider,
     agreement_rate,
     consistency_score,
 )
-from evalgate.model import EvalConfig, RequestPair
+from evalgate.evaluator import _evaluate_consistency_dimension
+from evalgate.model import EvalConfig, EvaluationError, RequestPair
 from evalgate.stats import cosine_similarity
 
 CFG = EvalConfig()
@@ -102,16 +104,6 @@ def test_hash_provider_is_deterministic_and_unit_norm():
     assert any(x != 0 for x in PROVIDER.embed("   "))
 
 
-def oracle_embed(text: str, dimension: int) -> list[float]:
-    # the bundled provider's algorithm without its token memo
-    vector = [0.0] * dimension
-    for token in text.lower().split() or [text]:
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        vector[int.from_bytes(digest[:8], "big") % dimension] += 1.0
-    norm = math.sqrt(math.fsum(x * x for x in vector))
-    return [x / norm for x in vector]
-
-
 EMBED_TEXTS = [
     "",
     "   ",
@@ -131,7 +123,7 @@ def test_hash_provider_matches_the_unmemoized_algorithm(dimension):
     provider = HashEmbeddingProvider(dimension)
     cold = [provider.embed(text) for text in EMBED_TEXTS]
     warm = [provider.embed(text) for text in reversed(EMBED_TEXTS)][::-1]
-    expected = [oracle_embed(text, dimension) for text in EMBED_TEXTS]
+    expected = [reference.embed(text, dimension) for text in EMBED_TEXTS]
     assert cold == expected
     assert warm == expected
     assert all(len(vector) == dimension for vector in cold)
@@ -141,8 +133,17 @@ def test_hash_providers_of_different_dimension_keep_their_own_memo():
     small, large = HashEmbeddingProvider(3), HashEmbeddingProvider(256)
     for _ in range(2):
         for text in EMBED_TEXTS:
-            assert small.embed(text) == oracle_embed(text, 3)
-            assert large.embed(text) == oracle_embed(text, 256)
+            assert small.embed(text) == reference.embed(text, 3)
+            assert large.embed(text) == reference.embed(text, 256)
+
+
+def test_an_embedding_failure_echoes_at_most_100_characters_of_the_pair():
+    zero = type("Zero", (), {"dimension": 2, "embed": lambda self, text: [0.0, 0.0]})()
+    for text, shown in (("a", "('a', 'a')"), ("x" * 200, "('" + "x" * 98 + "...[408 characters]")):
+        with pytest.raises(EvaluationError) as info:
+            consistency_score([pair(text, text)], zero, CFG)
+        assert str(info.value) == \
+            f"embedding failed for pair {shown}: cosine similarity of a zero vector is undefined"
 
 
 @pytest.mark.parametrize("dimension", [True, False, 0, -3, 2.5, 256.0, "8", None])
@@ -247,14 +248,14 @@ BLANK_TEXTS = ["", " ", "\t\n", "\u3000", "   "]
 
 @st.composite
 def text_pairs(draw):
-    """Two texts; text_b is often text_a changed in case, order or repetition."""
+    """Two texts; text_b is often text_a changed in case, order, repetition or length."""
     tokens = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12))
     separator = draw(st.sampled_from(SEPARATORS))
     text_a = draw(st.one_of(st.sampled_from(BLANK_TEXTS), st.just(separator.join(tokens))))
     text_b = draw(st.one_of(
         st.just(text_a), st.just(text_a.upper()), st.just(text_a.lower()),
         st.just(text_a.swapcase()), st.just(" ".join(reversed(text_a.split()))),
-        st.just(f"{text_a} {tokens[0]}"), st.sampled_from(BLANK_TEXTS),
+        st.just(f"{text_a} {tokens[0]}"), st.just(f"{text_a} y1 y2"), st.sampled_from(BLANK_TEXTS),
         st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12).map(" ".join),
     ))
     return (text_a, text_b) if draw(st.booleans()) else (text_b, text_a)
@@ -272,9 +273,10 @@ def test_pair_path_is_bit_equal_to_the_cosine_of_the_embeddings():
     @given(st.sampled_from([1, 2, 3, 7, 256]), text_pairs())
     def check(dimension, texts):
         text_a, text_b = texts
-        provider, dense = HashEmbeddingProvider(dimension), HashEmbeddingProvider(dimension)
-        expected = cosine_similarity(dense.embed(text_a), dense.embed(text_b))
-        assert provider._cosine(text_a, text_b).hex() == expected.hex()
+        provider = HashEmbeddingProvider(dimension)
+        expected = reference.cosine(reference.embed(text_a, dimension),
+                                    reference.embed(text_b, dimension))
+        assert reference.exact(provider._cosine(text_a, text_b)) == reference.exact(expected)
         collision = has_collision(provider, text_a) or has_collision(provider, text_b)
         reached.add((collision, expected == 1.0))
 
@@ -293,15 +295,8 @@ def test_equal_texts_score_exactly_one_without_an_identity_check():
         assert provider._cosine(f"{text} t0 t0", f"T0 T0 {text}") == 1.0  # counts 3 and 1
 
 
-class DenseProvider:
-    """Wraps the bundled provider so that consistency_score takes the dense path."""
-
-    def __init__(self, inner: HashEmbeddingProvider):
-        self.inner = inner
-        self.dimension = inner.dimension
-
-    def embed(self, text: str) -> list[float]:
-        return self.inner.embed(text)
+class EmbedPath(HashEmbeddingProvider):
+    """A subclass, so consistency_score scores its pairs through embed and the cosine."""
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -311,26 +306,22 @@ class DenseProvider:
     min_size=1, max_size=20,
 ))
 def test_pair_path_gives_the_dense_paths_consistency_result(dimension, pairs):
-    fast = consistency_score(pairs, HashEmbeddingProvider(dimension), CFG)
-    dense = consistency_score(pairs, DenseProvider(HashEmbeddingProvider(dimension)), CFG)
-    assert repr(fast) == repr(dense)
+    expected = reference.exact(reference.consistency(pairs, CFG, dimension))
+    for provider in (HashEmbeddingProvider(dimension), EmbedPath(dimension)):
+        assert reference.exact(_evaluate_consistency_dimension(pairs, provider, CFG)) == expected
 
 
 def test_bundled_provider_scores_pairs_without_embedding(monkeypatch):
     pairs = [pair("Grant access to the vault", "grant ACCESS vault vault"), pair("a", "A")]
-    expected = consistency_score(pairs, DenseProvider(HashEmbeddingProvider()), CFG)
 
     def refuse(self, text):
         raise AssertionError("embed called")
 
     monkeypatch.setattr(HashEmbeddingProvider, "embed", refuse)
-    assert consistency_score(pairs, HashEmbeddingProvider(), CFG) == expected
-
-    class Subclass(HashEmbeddingProvider):
-        pass
-
+    assert reference.exact(_evaluate_consistency_dimension(pairs, HashEmbeddingProvider(), CFG)) \
+        == reference.exact(reference.consistency(pairs, CFG))
     with pytest.raises(AssertionError, match="embed called"):
-        consistency_score(pairs, Subclass(), CFG)  # a subclass keeps the embed path
+        consistency_score(pairs, EmbedPath(), CFG)  # a subclass keeps the embed path
 
 
 def test_pair_path_builds_no_vector():

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
-from typing import Any
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evalgate.distribution import DistributionSnapshot, snapshot
+import reference
+from evalgate.distribution import snapshot
 from evalgate.evaluator import _evaluate_distribution_dimension, _Windows
 from evalgate.model import EvalConfig, OutputEvent
 from evalgate.stats import normalized_entropy
@@ -163,85 +162,7 @@ def test_entropy_ignores_arrival_order_of_counts(categories, rng):
     assert normalized_entropy(counts, len(counts)) == normalized_entropy(shuffled, len(shuffled))
 
 
-# --- the windows against the ring buffer they replaced -----------------------
-
-class RingBufferWindow:
-    """The former incremental window: a deque of the most recent ``capacity``
-    events with category counts kept up to date on every append and eviction."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.events: deque[OutputEvent] = deque()
-        self.counts: Counter[str] = Counter()
-
-    def observe(self, event: OutputEvent) -> None:
-        self.events.append(event)
-        self.counts[event.category] += 1
-        if len(self.events) > self.capacity:
-            evicted = self.events.popleft()
-            self.counts[evicted.category] -= 1
-            if self.counts[evicted.category] == 0:
-                del self.counts[evicted.category]
-
-
-def reference_snapshot(window: RingBufferWindow, config: EvalConfig) -> DistributionSnapshot:
-    fill = len(window.events)
-    counts = dict(window.counts)
-    distinct = len(counts)
-    entropy = normalized_entropy(list(counts.values()), distinct)
-    diversity = distinct / window.capacity
-    tail_len = min(fill, config.k_top)
-    tail_counts = Counter(e.category for e in list(window.events)[-tail_len:])
-    repeat_rate = max(tail_counts.values()) / tail_len
-    score = (
-        config.alpha * entropy
-        + config.beta * diversity
-        + config.gamma * (1.0 - repeat_rate)
-    )
-    qualities = [e.quality_signal for e in window.events if e.quality_signal is not None]
-    mean_quality = math.fsum(qualities) / len(qualities) if qualities else None
-    return DistributionSnapshot(
-        entropy=entropy,
-        diversity=diversity,
-        repeat_rate=repeat_rate,
-        score=min(1.0, max(0.0, score)),
-        window_fill=fill,
-        distinct_categories=distinct,
-        mean_quality=mean_quality,
-    )
-
-
-def reference_distribution_dimension(events, config):
-    window = RingBufferWindow(config.window_size)
-    snapshots = []
-    since_snapshot = 0
-    for e in events:
-        window.observe(e)
-        since_snapshot += 1
-        if since_snapshot == config.window_size:
-            snapshots.append(reference_snapshot(window, config))
-            since_snapshot = 0
-    if since_snapshot or not snapshots:
-        snapshots.append(reference_snapshot(window, config))
-    current = snapshots[-1]
-    metadata = current.metadata()
-    metadata["windows"] = [
-        {"window": i + 1, **snap.metadata(), "score": snap.score}
-        for i, snap in enumerate(snapshots)
-    ]
-    return current.score, current.window_fill / config.window_size, metadata
-
-
-def exact(value: Any) -> Any:
-    """The value with every float replaced by its float.hex, for bit equality."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {k: exact(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [exact(v) for v in value]
-    return value
-
+# --- the windows against the oracle's ring buffer ---------------------------
 
 @st.composite
 def distribution_inputs(draw):
@@ -263,6 +184,5 @@ def distribution_inputs(draw):
 @given(distribution_inputs())
 def test_windows_match_the_ring_buffer_bit_for_bit(inputs):
     events, config = inputs
-    assert exact(distribution_dimension(events, config)) == exact(
-        reference_distribution_dimension(events, config)
-    )
+    assert reference.exact(distribution_dimension(events, config)) == \
+        reference.exact(reference.distribution(events, config))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from evalgate import evaluator, model
 from evalgate.evaluator import aggregate, evaluate_records, evaluate_stream, split_pipelines
-from evalgate.explanation import ProbeContext, evaluate_explanation
+from evalgate.explanation import ProbeContext
 from evalgate.model import (
     AttributionCase,
     Dimension,
@@ -263,46 +264,11 @@ def test_tool_confidence_is_window_fill_fraction():
 
 
 # --- EXPLANATION: one probe run per distinct (feature names, ranks) ---------
+# The memo against reference.explanation, which runs the probe for every case.
 
 FIVE = ("f0", "f1", "f2", "f3", "f4")
 ONES = {name: 1.0 for name in FIVE}
 ZEROS = {name: 0.0 for name in FIVE}
-
-
-def _per_case_explanation(cases, probe_context, config):
-    """The EXPLANATION scorer before the memo: every case runs the probe."""
-    results = [
-        evaluate_explanation(
-            probe_context.probe,
-            case,
-            probe_context.baseline_values,
-            probe_context.original_values,
-            config,
-        )
-        for case in cases
-    ]
-    score = sum(r.acs for r in results) / len(results)
-    worst = min(results, key=lambda r: r.acs)
-    return score, 1.0, worst.metadata()
-
-
-def _exact(value):
-    """A value with every float as float.hex and every dict in key order."""
-    if type(value) is float:
-        return value.hex()
-    if isinstance(value, dict):
-        return [(key, _exact(v)) for key, v in value.items()]
-    if isinstance(value, (list, tuple)):
-        return [_exact(v) for v in value]
-    return value
-
-
-def _outcome(scorer, *args):
-    """What ``scorer`` returns, exactly, or its error's type and text."""
-    try:
-        return _exact(scorer(*args))
-    except Exception as exc:  # any exception, so a wrong one is a mismatch, not a crash
-        return type(exc).__name__, str(exc)
 
 
 class CountingProbe:
@@ -342,8 +308,8 @@ def explanation_inputs(draw):
 @given(explanation_inputs())
 def test_explanation_memo_matches_the_per_case_loop(inputs):
     cases, context = inputs
-    assert _outcome(evaluator._evaluate_explanation_dimension, cases, context, CFG) == \
-        _outcome(_per_case_explanation, cases, context, CFG)
+    assert reference.outcome(evaluator._evaluate_explanation_dimension, cases, context, CFG) == \
+        reference.outcome(reference.explanation, cases, context, CFG)
 
 
 def test_probe_runs_once_per_distinct_names_and_ranks():
@@ -357,10 +323,10 @@ def test_probe_runs_once_per_distinct_names_and_ranks():
     ]
     probe = CountingProbe(LinearProbe({"f0": 0.4, "f1": 0.3, "f2": 0.2}, bias=0.05))
     context = ProbeContext(probe, ONES, ZEROS)
-    outcome = evaluator._evaluate_explanation_dimension(cases, context, CFG)
+    result = evaluator._evaluate_explanation_dimension(cases, context, CFG)
     # len(names) perturbations, the unperturbed call and the determinism re-check
     assert probe.calls == (3 + 2) + (3 + 2) + (2 + 2)
-    assert _exact(outcome) == _exact(_per_case_explanation(cases, context, CFG))
+    assert reference.exact(result) == reference.exact(reference.explanation(cases, context, CFG))
 
 
 def _fm5_lines(copies: int) -> list[str]:

@@ -1,54 +1,35 @@
-"""The one-pass evaluator against the list-based one it replaced.
-
-``evaluate_records`` folds each step, tool call and output event into its
-dimension's state as it arrives. The reference below is the former
-evaluator: it keeps every record in per-type lists until the stream ends and
-scores each dimension from its list. Both must give the same report bytes,
-the same notes in the same order, and the same error, also when ticks cross
-the int64 edge in TOOL's packed columns. Two more tests pin that memory does
-not grow with the number of steps and window events, and grows by a few
-8-byte numbers per tool call and quality-carrying output event.
-"""
+"""The one-pass evaluator against the reference oracle (same report bytes,
+notes and errors, also with ticks at TOOL's int64 edge), metamorphic relations
+over mixed streams of all five record types, and two memory bounds: nothing
+grows with steps and window events, a few 8-byte numbers per tool call and
+quality-carrying output event."""
 
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
+from collections import deque
 from typing import Any
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from evalgate import evaluator
-from evalgate.cascade import InsufficientTraceError, evaluate_cascade
 from evalgate.cli import report_document
-from evalgate.consistency import HashEmbeddingProvider
-from evalgate.distribution import snapshot
-from evalgate.evaluator import StreamDiagnostics, aggregate, evaluate_records, split_pipelines
+from evalgate.evaluator import StreamDiagnostics, evaluate_records, evaluate_stream
 from evalgate.explanation import ProbeContext
 from evalgate.model import (
-    RECORD_TYPES,
     AttributionCase,
-    Dimension,
     EvalConfig,
-    EvalReport,
-    EvaluationError,
-    MetricResult,
     OutputEvent,
     RequestPair,
     StepResult,
     ToolCallRecord,
     ToolCallState,
-)
-from evalgate.reliability import (
-    LATENCY_BUCKET_COUNT,
-    ReliabilityResult,
-    bucket_indices,
-    count_states,
-    detect_silent_degradation,
-    percentile_nearest_rank,
-    tool_reliability_score,
+    serialize_trace_record,
 )
 from evalgate.simulate import (
     FM5_BASELINE_VALUES,
@@ -56,133 +37,6 @@ from evalgate.simulate import (
     FM5_TRUE_WEIGHTS,
     reference_probe,
 )
-from evalgate.stats import UndefinedStatisticError, pearson
-
-# --- the list-based evaluator ------------------------------------------------
-
-
-def reference_reliability(calls, quality, config) -> ReliabilityResult:
-    prr = sum(1 for c in calls if c.state is ToolCallState.PARTIAL) / len(calls)
-    rho, fallback, bucket_count = 0.0, None, 0
-    if quality is None:
-        fallback = "no quality signal in window"
-    else:
-        bucket_count = len(quality)
-        assignments = bucket_indices([c.timestamp for c in calls], bucket_count)
-        latencies: list[list[float]] = [[] for _ in range(bucket_count)]
-        for call, b in zip(calls, assignments):
-            latencies[b].append(call.latency_ms)
-        p95s = [percentile_nearest_rank(lat, 0.95) for lat in latencies if lat]
-        drops = [quality[0] - quality[b] for b in range(bucket_count) if latencies[b]]
-        try:
-            if len(p95s) < 3:
-                raise UndefinedStatisticError(
-                    f"only {len(p95s)} non-empty latency buckets; need >= 3"
-                )
-            rho = pearson(p95s, drops)
-        except UndefinedStatisticError as exc:
-            rho, fallback = 0.0, str(exc)
-    silent = False
-    if quality is not None and len(quality) >= 2:
-        if config.acc_delta_cumulative:
-            deltas = [quality[-1] - quality[0]]
-        else:
-            deltas = [b - a for a, b in zip(quality, quality[1:])]
-        silent = all(detect_silent_degradation(prr, d, config) for d in deltas)
-    return ReliabilityResult(prr, rho, tool_reliability_score(prr, rho), silent,
-                             count_states(calls), bucket_count, fallback)
-
-
-def reference_quality_series(calls, events):
-    tagged = [e for e in events if e.quality_signal is not None]
-    if not tagged:
-        return None
-    ticks = [c.timestamp for c in calls]
-    assignments = bucket_indices([e.timestamp for e in tagged], LATENCY_BUCKET_COUNT,
-                                 lo=min(ticks), hi=max(ticks))
-    sums = [0.0] * LATENCY_BUCKET_COUNT
-    counts = [0] * LATENCY_BUCKET_COUNT
-    for event, b in zip(tagged, assignments):
-        sums[b] += event.quality_signal
-        counts[b] += 1
-    means = [sums[b] / counts[b] if counts[b] else None for b in range(LATENCY_BUCKET_COUNT)]
-    series, last = [], next(m for m in means if m is not None)
-    for mean in means:
-        if mean is not None:
-            last = mean
-        series.append(last)
-    return series
-
-
-def reference_cascade(steps, config, diagnostics):
-    results = []
-    for pipeline in split_pipelines(steps):
-        try:
-            results.append(evaluate_cascade(pipeline, config))
-        except InsufficientTraceError as exc:
-            diagnostics.evaluation_notes.append(f"cascade: {exc}")
-    if not results:
-        return None
-    worst = min(results, key=lambda r: r.score)
-    return sum(r.score for r in results) / len(results), 1.0, worst.metadata()
-
-
-def reference_tool(calls, events, config, diagnostics):
-    result = reference_reliability(calls, reference_quality_series(calls, events), config)
-    if result.rho_fallback is not None:
-        diagnostics.evaluation_notes.append(f"tool: {result.rho_fallback}")
-    return result.score, min(1.0, len(calls) / config.window_size), result.metadata()
-
-
-def reference_distribution(events, config):
-    size, n = config.window_size, len(events)
-    ends = [min(end, n) for end in range(size, n + size, size)]
-    snapshots = [snapshot(events[max(0, end - size):end], config) for end in ends]
-    current = snapshots[-1]
-    metadata = current.metadata()
-    metadata["windows"] = [{"window": i + 1, **s.metadata(), "score": s.score}
-                           for i, s in enumerate(snapshots)]
-    return current.score, current.window_fill / size, metadata
-
-
-def reference_evaluate_records(records, config, probe_context, diagnostics) -> EvalReport:
-    provider = HashEmbeddingProvider()
-    by_type: dict[type, list[Any]] = {cls: [] for cls in RECORD_TYPES.values()}
-    for record in records:
-        bucket = by_type.get(type(record))
-        if bucket is None:
-            raise TypeError(f"not a trace record: {type(record).__name__}")
-        bucket.append(record)
-    diagnostics.record_counts = {name: len(by_type[cls]) for name, cls in RECORD_TYPES.items()}
-    steps, calls, events, cases, pairs = (
-        by_type[cls]
-        for cls in (StepResult, ToolCallRecord, OutputEvent, AttributionCase, RequestPair)
-    )
-    table = (
-        (Dimension.CASCADE, steps, lambda: reference_cascade(steps, config, diagnostics)),
-        (Dimension.TOOL, calls, lambda: reference_tool(calls, events, config, diagnostics)),
-        (Dimension.DISTRIBUTION, events, lambda: reference_distribution(events, config)),
-        (Dimension.EXPLANATION, cases,
-         lambda: evaluator._evaluate_explanation_dimension(cases, probe_context, config)),
-        (Dimension.CONSISTENCY, pairs,
-         lambda: evaluator._evaluate_consistency_dimension(pairs, provider, config)),
-    )
-    per_dimension = {}
-    for dimension, inputs, scorer in table:
-        try:
-            outcome = scorer() if inputs else None
-        except UndefinedStatisticError as exc:
-            diagnostics.evaluation_notes.append(f"{dimension.value.lower()}: {exc}")
-            continue
-        if outcome is not None:
-            score, confidence, metadata = outcome
-            passed = score >= config.threshold(dimension)
-            per_dimension[dimension] = MetricResult(score, confidence, passed, metadata)
-    if not per_dimension:
-        raise EvaluationError("no evaluable records")
-    overall, passed = aggregate(per_dimension, config)
-    return EvalReport(per_dimension, overall, passed)
-
 
 # --- mixed streams -----------------------------------------------------------
 
@@ -257,28 +111,97 @@ def mixed_streams(draw):
     return records, config, probe
 
 
-def outcome(evaluate, records, config, probe) -> tuple:
-    """The report bytes and the notes, or the error's type and text, with
-    the diagnostics as the call left them."""
+def engine(records, config, probe, diagnostics) -> str:
+    report = evaluate_records(iter(records), config, probe_context=probe, diagnostics=diagnostics)
+    return json.dumps(report_document(report, config, diagnostics), indent=2)
+
+
+def oracle(records, config, probe, diagnostics) -> str:
+    return json.dumps(reference.evaluate_records(records, config, probe, diagnostics), indent=2)
+
+
+def run(evaluate, records, config, probe) -> tuple:
+    """The report bytes, or the error's type and text, with the notes and counts
+    as the call left them; only evaluate_records' two documented errors may end it."""
     diagnostics = StreamDiagnostics()
-    try:
-        report = evaluate(records, config, probe, diagnostics)
-    except (EvaluationError, TypeError) as exc:
-        return type(exc), str(exc), diagnostics.evaluation_notes, diagnostics.record_counts
-    text = json.dumps(report_document(report, config, diagnostics), indent=2)
-    return text, diagnostics.evaluation_notes
-
-
-def one_pass(records, config, probe, diagnostics) -> EvalReport:
-    return evaluate_records(iter(records), config, probe_context=probe, diagnostics=diagnostics)
+    result = reference.outcome(evaluate, records, config, probe, diagnostics)
+    assert result[0] != "raises" or result[1] in ("EvaluationError", "TypeError"), result
+    return result, diagnostics.evaluation_notes, diagnostics.record_counts
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mixed_streams())
 def test_one_pass_evaluator_matches_the_list_based_one(inputs):
     records, config, probe = inputs
-    assert outcome(one_pass, records, config, probe) == \
-        outcome(reference_evaluate_records, records, config, probe)
+    assert run(engine, records, config, probe) == run(oracle, records, config, probe)
+
+
+# --- metamorphic relations ----------------------------------------------------
+# No relation reorders attribution cases: the first of the worst cases gives
+# EXPLANATION's metadata and its mean adds left to right. On the benchmark's
+# semantic trace (tracegen seed 1, 2,416 attribution lines), shuffling those
+# lines in place with random.Random(1) kept the score and overall_score, but
+# the first worst case (ACS 0.0) named two features before and three after.
+
+
+def interleave(records: list, rng) -> list:
+    """The records in a random order that keeps each type's own order."""
+    queues: dict[type, deque] = {}
+    for record in records:
+        queues.setdefault(type(record), deque()).append(record)
+    kinds = [type(record) for record in records]
+    rng.shuffle(kinds)
+    return [queues[kind].popleft() for kind in kinds]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mixed_streams(), st.randoms(use_true_random=False))
+def test_any_interleaving_that_keeps_each_types_order_gives_the_same_report(inputs, rng):
+    records, config, probe = inputs
+    assert run(engine, interleave(records, rng), config, probe) == \
+        run(engine, records, config, probe)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mixed_streams(), st.randoms(use_true_random=False))
+def test_consistency_ignores_pair_order_and_sides(inputs, rng):
+    records, config, probe = inputs
+    swapped = [RequestPair(r.text_b, r.text_a, r.decision_b, r.decision_a)
+               for r in records if type(r) is RequestPair]
+    rng.shuffle(swapped)
+    pairs = iter(swapped)
+    changed = [next(pairs) if type(r) is RequestPair else r for r in records]
+    assert run(engine, changed, config, probe) == run(engine, records, config, probe)
+
+
+BAD_LINES = ("{bad", "[]", '{"type":"mystery"}', '{"type":"output","category":""}',
+             '{"type":"step","step_index":0,"step_name":"x","confidence":0.5}')
+BLANK_LINES = ("", " ", "\t", "\r")
+
+
+def stream_report(lines, config, probe) -> str:
+    report, diagnostics = evaluate_stream(lines, config, probe)
+    return json.dumps(report_document(report, config, diagnostics), indent=2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mixed_streams(), st.lists(st.sampled_from(BAD_LINES), max_size=4),
+       st.randoms(use_true_random=False))
+def test_blank_lines_and_unknown_fields_move_only_line_numbers(inputs, bad_lines, rng):
+    records, config, probe = inputs
+    lines = [json.dumps(r) if type(r) is dict else serialize_trace_record(r) for r in records]
+    for line in bad_lines:
+        lines.insert(rng.randint(0, len(lines)), line)
+    before = reference.outcome(stream_report, lines, config, probe)
+    assert before[0] != "raises" or before[1] == "EvaluationError", before
+    padded: list[str] = []
+    moved_to = {}
+    for number, line in enumerate(lines, 1):
+        padded += rng.choices(BLANK_LINES, k=rng.randint(0, 2))
+        moved_to[str(number)] = str(len(padded) + 1)
+        padded.append('{"reasoning":"why",' + line[1:] if line.startswith('{"type"') else line)
+    renumbered = re.sub(r'("line": |line )(\d+)', lambda m: m[1] + moved_to[m[2]], before[-1])
+    assert reference.outcome(stream_report, padded, config, probe) == (*before[:-1], renumbered)
 
 
 # --- ticks at the int64 edge --------------------------------------------------
@@ -308,8 +231,7 @@ def test_ticks_at_the_int64_edge_match_the_list_based_evaluator(edge):
                   [edge + inward * k for k in range(9, -1, -1)]):
         records = tool_records(ticks)
         for config in (EvalConfig(), EvalConfig(acc_delta_cumulative=True)):
-            assert outcome(one_pass, records, config, None) == \
-                outcome(reference_evaluate_records, records, config, None)
+            assert run(engine, records, config, None) == run(oracle, records, config, None)
 
         tool = evaluator._ToolColumns()
         for record in records:

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from evalgate.model import (
     DIMENSION_KEYS,
-    _WIRE_SCHEMA,
     AttributionCase,
     EvalConfig,
     MetricResult,
@@ -295,180 +294,15 @@ def test_library_construction_normalises_values():
     assert type(case.decision_value) is float
 
 
-# --- differential test of the validators' fast paths --------------------------
-#
-# The reference below is the record validation as it was before the records
-# got their exact-type fast paths: the general checks only, on frozen
-# dataclasses. parse_trace_record must give the same record, or the same
-# error type and text, for every line.
-
-
-def _ref_require_unit(name, value):
-    value = _ref_require_real(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def _ref_require_real(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(number):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return number
-
-
-def _ref_require_tick(value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError("timestamp must be an integer tick")
-    if abs(value) > 2**1022:
-        raise ValidationError("timestamp must be an integer tick in [-2**1022, 2**1022]")
-
-
-@dataclass(frozen=True)
-class _RefStep:
-    step_index: int
-    step_name: str
-    confidence: float
-
-    def __post_init__(self):
-        if isinstance(self.step_index, bool) or not isinstance(self.step_index, int):
-            raise ValidationError("step_index must be an integer")
-        if self.step_index < 1:
-            raise ValidationError(f"step_index must be >= 1, got {self.step_index}")
-        if not isinstance(self.step_name, str):
-            raise ValidationError("step_name must be a string")
-        object.__setattr__(self, "confidence", _ref_require_unit("confidence", self.confidence))
-
-
-@dataclass(frozen=True)
-class _RefToolCall:
-    tool_name: str
-    state: ToolCallState
-    latency_ms: float
-    timestamp: int
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "state", ToolCallState(self.state))
-        except ValueError:
-            raise ValidationError(
-                f"state must be one of {[s.value for s in ToolCallState]}, got {self.state!r}"
-            ) from None
-        if not isinstance(self.tool_name, str):
-            raise ValidationError("tool_name must be a string")
-        latency = _ref_require_real("latency_ms", self.latency_ms)
-        if latency < 0:
-            raise ValidationError(f"latency_ms must be >= 0, got {latency}")
-        object.__setattr__(self, "latency_ms", latency)
-        _ref_require_tick(self.timestamp)
-
-
-@dataclass(frozen=True)
-class _RefOutput:
-    category: str
-    session_id: str
-    timestamp: int
-    quality_signal: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.category, str) or not self.category:
-            raise ValidationError("category must be a non-empty string")
-        if not isinstance(self.session_id, str):
-            raise ValidationError("session_id must be a string")
-        _ref_require_tick(self.timestamp)
-        if self.quality_signal is not None:
-            object.__setattr__(
-                self, "quality_signal", _ref_require_unit("quality_signal", self.quality_signal)
-            )
-
-
-@dataclass(frozen=True)
-class _RefAttribution:
-    feature_names: tuple
-    claimed_weights: tuple
-    decision_value: float
-
-    def __post_init__(self):
-        if not isinstance(self.feature_names, (list, tuple)) or \
-                not isinstance(self.claimed_weights, (list, tuple)):
-            raise ValidationError("feature_names and claimed_weights must be lists")
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        weights = tuple(_ref_require_real("claimed_weights", w) for w in self.claimed_weights)
-        object.__setattr__(self, "claimed_weights", weights)
-        if len(self.feature_names) != len(weights):
-            raise ValidationError("feature_names and claimed_weights must have equal length")
-        if len(weights) < 2:
-            raise ValidationError("an attribution case needs at least 2 features")
-        if any(not isinstance(f, str) or not f for f in self.feature_names):
-            raise ValidationError("feature_names must be non-empty strings")
-        if any(w < 0 for w in weights):
-            raise ValidationError("claimed_weights must be >= 0")
-        if any(a < b for a, b in zip(weights, weights[1:])):
-            raise ValidationError("claimed_weights must be non-increasing")
-        object.__setattr__(
-            self, "decision_value", _ref_require_real("decision_value", self.decision_value)
-        )
-        if len(set(self.feature_names)) != len(self.feature_names):
-            raise ValidationError("feature_names must be distinct")
-
-
-@dataclass(frozen=True)
-class _RefPair:
-    text_a: str
-    text_b: str
-    decision_a: str
-    decision_b: str
-
-    def __post_init__(self):
-        for name in ("text_a", "text_b", "decision_a", "decision_b"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ValidationError(f"{name} must be a non-empty string")
-
-
-_REFERENCE = {
-    "step": _RefStep,
-    "tool_call": _RefToolCall,
-    "output": _RefOutput,
-    "attribution": _RefAttribution,
-    "request_pair": _RefPair,
-}
-
-
-def _normalised(value):
-    """A value with its exact type; floats by float.hex, so -0.0 keeps its sign."""
-    if type(value) is float:
-        return "float", value.hex()
-    if type(value) in (tuple, list):
-        return type(value).__name__, tuple(_normalised(v) for v in value)
-    return type(value).__name__, value
-
-
-def _outcome(build, line):
-    """The fields of the record ``build`` makes of ``line``, or its error's type and text."""
-    try:
-        record = build(line)
-    except Exception as exc:  # any exception, so a wrong one is a mismatch, not a crash
-        return type(exc).__name__, str(exc)
-    return tuple((f.name, _normalised(getattr(record, f.name))) for f in fields(record))
-
-
-def _reference_record(line):
-    payload = json.loads(line)
-    try:
-        return _REFERENCE[payload.pop("type")](**payload)
-    except ValidationError as exc:
-        raise ValidationError(f"line 9: {exc}") from None
+# --- differential tests of the validators' and the scanner's fast paths --------
+# reference.parse reads every line with json.loads and has the general checks
+# only. parse_trace_record must give a record of the same type with the same
+# fields, or the same error type and text, for every line.
 
 
 def _assert_same_outcome(line):
-    expected = _outcome(_reference_record, line)
-    assert _outcome(lambda text: parse_trace_record(text, 9), line) == expected, line
+    assert reference.outcome(parse_trace_record, line, 9) == \
+        reference.outcome(reference.parse, line, 9), line
 
 
 # JSON fragments for each kind of field. NaN and infinities appear both in
@@ -488,7 +322,7 @@ TICKS = (
 STRINGS = ('"svc"', '"x"', '""', '"é ☃"', "1", "0.5", "true", "null", "[]", "{}")
 STATE_VALUES = (
     '"SUCCESS"', '"PARTIAL"', '"FAILED"', '"success"', '"flaky"', '""',
-    "1", "0.5", "true", "null", "[]", "{}", '["SUCCESS"]',
+    "1", "0.5", "true", "null", "[]", "{}", '["SUCCESS"]', '"' + "x" * 200 + '"',
 )
 NAME_LISTS = ('["a","b"]', '["a","b","c"]', '["a","a"]', '["a","b","a"]', '["a",""]', '["a",1]',
               '["a"]', "[]", '"ab"', "null", "{}")
@@ -576,50 +410,11 @@ def test_fast_paths_agree_with_the_reference(line):
     _assert_same_outcome(line)
 
 
-# --- differential test of the scanner fast path -------------------------------
-#
-# The reference is parse_trace_record as it was before its one-call scanner fast
-# path: json.loads on every line. Both must give the same record fields, or the
-# same error type and text, for valid lines of every type and mutations of them.
-
-
-def _json_loads_first(line, line_number=None):
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
-    except RecursionError:
-        raise TraceParseError("invalid JSON: nested too deeply", line_number) from None
-    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
-        raise TraceParseError("invalid JSON: integer has too many digits", line_number) from None
-    if not isinstance(payload, dict):
-        raise TraceParseError("record must be a JSON object", line_number)
-    record_type = payload.get("type")
-    try:
-        cls, required, optional = _WIRE_SCHEMA[record_type]
-    except (KeyError, TypeError):  # TypeError: an unhashable type value
-        raise TraceParseError(f"unknown record type: {record_type!r}", line_number) from None
-    try:
-        values = required(payload)
-    except KeyError as exc:
-        raise TraceParseError(
-            f"{record_type} record missing field {exc.args[0]!r}", line_number
-        ) from None
-    try:
-        if optional:
-            return cls(*values, **{name: payload[name] for name in optional if name in payload})
-        return cls(*values)
-    except ValidationError as exc:
-        if line_number is not None:
-            raise ValidationError(f"line {line_number}: {exc}") from exc
-        raise
-
-
 # JSON whitespace is the first four; str.strip() removes all eight.
 SPACES = (" ", "\t", "\r", "\n", "\x0b", "\x0c", "\u00a0", "\u2028")
 VALUE_MUTATIONS = (
     "NaN", "Infinity", "-Infinity", "-0.0", "1e999", "1" * 4301,
-    "[" * 100_000 + "]" * 100_000, '"\\ud800"', '"x\\udc00"',
+    "[" * 100_000 + "]" * 100_000, '"\\ud800"', '"x\\udc00"', '"' + "\u00e9" * 150 + '"',
 )
 TRAILERS = ("x", "}", ",", "]", " 1", "{}", '{"type":"step"}')
 NON_OBJECTS = ("[]", "1", '"s"', "null")
@@ -664,5 +459,4 @@ def mutated_lines(draw):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(mutated_lines())
 def test_scanner_fast_path_agrees_with_json_loads_first(line):
-    assert _outcome(lambda text: parse_trace_record(text, 9), line) == \
-        _outcome(lambda text: _json_loads_first(text, 9), line), line
+    _assert_same_outcome(line)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+import reference
 from evalgate.stats import (
     UndefinedStatisticError,
     cosine_similarity,
@@ -268,34 +269,7 @@ def test_fractional_ranks_average_ties():
     assert fractional_ranks([10.0, 20.0, 10.0, 30.0]) == [1.5, 3.0, 1.5, 4.0]
 
 
-# --- differential check of the sparse cosine against the dense formula -------
-
-def dense_cosine(u, v):
-    # the formula cosine_similarity used before it skipped zero entries
-    if len(u) != len(v):
-        raise UndefinedStatisticError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    if len(u) < 1:
-        raise UndefinedStatisticError("vectors must have dimension >= 1")
-    for name, values in (("u", u), ("v", v)):
-        for x in values:
-            if not math.isfinite(x):
-                raise UndefinedStatisticError(f"{name} contains a non-finite value: {x!r}")
-    su = math.fsum(a * a for a in u)
-    sv = math.fsum(b * b for b in v)
-    if su == 0.0 or sv == 0.0:
-        raise UndefinedStatisticError("cosine similarity of a zero vector is undefined")
-    if all(a == b for a, b in zip(u, v)):
-        return 1.0
-    dot = math.fsum(a * b for a, b in zip(u, v))
-    return min(1.0, max(-1.0, dot / (math.sqrt(su) * math.sqrt(sv))))
-
-
-def outcome(f, u, v):
-    try:
-        return f(u, v).hex()
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
-
+# --- differential check of the sparse cosine against the oracle's dense one ---
 
 # the nonzero entries: either sign, some so small that their squares
 # underflow, some so large that the sums overflow
@@ -350,7 +324,7 @@ def vector_pairs(draw):
 @given(vector_pairs())
 def test_sparse_cosine_is_bit_equal_to_the_dense_formula(uv):
     u, v = uv
-    assert outcome(cosine_similarity, u, v) == outcome(dense_cosine, u, v)
+    assert reference.outcome(cosine_similarity, u, v) == reference.outcome(reference.cosine, u, v)
 
 
 @pytest.mark.parametrize(
@@ -371,4 +345,4 @@ def test_sparse_cosine_is_bit_equal_to_the_dense_formula(uv):
     ],
 )
 def test_sparse_cosine_keeps_every_dense_result_and_message(u, v):
-    assert outcome(cosine_similarity, u, v) == outcome(dense_cosine, u, v)
+    assert reference.outcome(cosine_similarity, u, v) == reference.outcome(reference.cosine, u, v)
