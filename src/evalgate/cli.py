@@ -25,13 +25,13 @@ from typing import Any, TextIO
 
 from .evaluator import StreamDiagnostics, evaluate_stream
 from .explanation import ProbeContext
-from .model import EvalConfig, EvalReport, EvaluationError, ValidationError, serialize_trace_record
+from .model import (EvalConfig, EvalReport, EvaluationError, ValidationError, _echo,
+                    serialize_trace_record)
 from .simulate import (
     FM5_BASELINE_VALUES,
     FM5_ORIGINAL_VALUES,
     SCENARIOS,
     ScenarioSpec,
-    default_variant,
     generate,
     reference_probe,
 )
@@ -67,7 +67,7 @@ def load_config(path: str | Path | None) -> EvalConfig:
     known = {f.name.rstrip("_"): f.name for f in fields(EvalConfig)}
     for key in payload:
         if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {_echo(key)}")
     try:
         return EvalConfig(**{known[key]: value for key, value in payload.items()})
     except ValidationError as exc:
@@ -174,11 +174,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec(
-        scenario=args.scenario,
-        seed=args.seed,
-        variant=args.variant or default_variant(args.scenario),
-    )
+    spec = ScenarioSpec(scenario=args.scenario, seed=args.seed, variant=args.variant)
     records = generate(spec)
     _write_atomic(
         args.output,
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="generate a seeded failure-scenario trace")
     sim.add_argument("--scenario", required=True, choices=SCENARIOS)
-    sim.add_argument("--variant", default=None, help="scenario variant, where applicable")
+    sim.add_argument("--variant", default="", help="scenario variant, where applicable")
     sim.add_argument("--seed", type=int, default=42)
     sim.add_argument("--output", default=None, help="trace path (default: stdout)")
     sim.set_defaults(func=cmd_simulate)

@@ -18,6 +18,8 @@ from typing import Any, NamedTuple, Protocol
 from .model import EvalConfig, EvaluationError, RequestPair, _echo
 from .stats import UndefinedStatisticError, cosine_similarity
 
+_MEMO_ENTRIES = 2**14  # about 3 MiB of token -> index entries per provider
+
 
 class EmbeddingProvider(Protocol):
     """Deterministic text embedder with a fixed output dimension."""
@@ -35,9 +37,9 @@ class HashEmbeddingProvider:
     processes and platforms; never zero for non-empty text.
 
     Each instance memoizes token -> index, so sha256 runs once per distinct
-    token; the memo holds one entry per distinct token the instance has seen
-    and lives as long as the instance. consistency_score scores pairs with
-    this exact class from index sets, bit-equal to the cosine of the vectors.
+    token until the memo passes _MEMO_ENTRIES and is cleared. consistency_score
+    scores pairs with this exact class from index sets, bit-equal to the cosine
+    of the vectors.
     """
 
     def __init__(self, dimension: int = 256):
@@ -56,7 +58,10 @@ class HashEmbeddingProvider:
             for token in set(tokens).difference(index_of):
                 digest = hashlib.sha256(token.encode("utf-8")).digest()
                 index_of[token] = int.from_bytes(digest[:8], "big") % self.dimension
-            return list(map(index_of.__getitem__, tokens))
+            indices = list(map(index_of.__getitem__, tokens))
+            if len(index_of) > _MEMO_ENTRIES:
+                index_of.clear()
+            return indices
 
     @staticmethod
     def _unit_counts(indices: list[int]) -> dict[int, float]:
@@ -110,18 +115,12 @@ class ConsistencyResult(NamedTuple):
         }
 
 
-def agreement_rate(pairs: Sequence[RequestPair]) -> float:
-    """Fraction of pairs whose decisions are exactly equal; pairs must be non-empty."""
-    agreed = sum(1 for p in pairs if p.decision_a == p.decision_b)
-    return agreed / len(pairs)
-
-
 def consistency_score(
     pairs: Sequence[RequestPair],
     provider: EmbeddingProvider,
     config: EvalConfig,
 ) -> ConsistencyResult:
-    """agreement_rate times the mean pairwise embedding similarity, clamped.
+    """The agreement rate times the mean pairwise embedding similarity, clamped.
 
     Disagreeing pairs still contribute to the similarity mean. The flag
     fires on agreement rate alone, against theta_ar.

@@ -22,6 +22,7 @@ no timing: the same input always gives an equal EvalReport.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, MutableSequence, Sequence
@@ -404,10 +405,19 @@ def evaluate_stream(
 
 
 def aggregate(results: dict[Dimension, MetricResult], config: EvalConfig) -> tuple[float, bool]:
-    """Weight-normalized mean over non-empty results; gate is their conjunction."""
-    total_weight = sequential_sum(config.weight(d) for d in results)
+    """Weight-normalized mean over non-empty results; gate is their conjunction.
+
+    Weights below 1 are scaled by the power of two that puts the largest in
+    [1, 2): exact, and a subnormal weight keeps its precision.
+    """
+    weights = [config.weight(d) for d in results]
+    largest = max(weights)
+    if 0.0 < largest < 1.0:
+        shift = 1 - math.frexp(largest)[1]
+        weights = [math.ldexp(w, shift) for w in weights]
+    total_weight = sequential_sum(weights)
     if total_weight > 0:
-        weighted = sequential_sum(config.weight(d) * r.score for d, r in results.items())
+        weighted = sequential_sum(w * r.score for w, r in zip(weights, results.values()))
         overall = weighted / total_weight
     else:
         overall = sequential_sum(r.score for r in results.values()) / len(results)

@@ -72,26 +72,22 @@ def perturbation_impacts(
         if name not in original_values:
             raise ValidationError(f"original_values missing feature {name!r}")
 
-    original = dict(original_values)
-    try:
-        base = probe.predict(original)
-    except Exception as exc:
-        raise EvaluationError(f"probe failed on unperturbed input: {exc}") from exc
+    def predict(values: dict[str, float], feature: str | None = None) -> float:
+        try:
+            return probe.predict(values)
+        except Exception as exc:
+            what = "on unperturbed input" if feature is None else f"perturbing {feature!r}"
+            raise EvaluationError(f"probe failed {what}: {exc}") from exc
 
+    original = dict(original_values)
+    base = predict(original)
     impacts: list[float] = []
     for name in case.feature_names:
         perturbed = dict(original)
         perturbed[name] = baseline_values[name]
-        try:
-            moved = probe.predict(perturbed)
-        except Exception as exc:
-            raise EvaluationError(f"probe failed perturbing {name!r}: {exc}") from exc
-        impacts.append(abs(base - moved))
+        impacts.append(abs(base - predict(perturbed, name)))
 
-    try:
-        restored = probe.predict(dict(original_values))
-    except Exception as exc:
-        raise EvaluationError(f"probe failed on unperturbed input: {exc}") from exc
+    restored = predict(dict(original_values))
     if abs(restored - base) > _DETERMINISM_TOL:
         raise EvaluationError(
             f"probe is not deterministic: {base!r} vs {restored!r} on equal inputs"

@@ -116,7 +116,7 @@ class StepResult:
         if isinstance(self.step_index, bool) or not isinstance(self.step_index, int):
             raise ValidationError("step_index must be an integer")
         if self.step_index < 1:
-            raise ValidationError(f"step_index must be >= 1, got {self.step_index}")
+            raise ValidationError(f"step_index must be >= 1, got {_echo(self.step_index)}")
         if not isinstance(self.step_name, str):
             raise ValidationError("step_name must be a string")
         confidence = self.confidence
@@ -314,7 +314,7 @@ class EvalConfig:
                     raise ValidationError(f"{name} must be an object")
                 for key in value:
                     if key not in DIMENSION_KEYS:
-                        raise ValidationError(f"unknown dimension in {name}: {key!r}")
+                        raise ValidationError(f"unknown dimension in {name}: {_echo(key)}")
                 object.__setattr__(self, f.name, {**f.default_factory(), **value})
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
             raise ValidationError(

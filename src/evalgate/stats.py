@@ -3,11 +3,6 @@
 All functions are pure, operate on plain Python sequences, and accumulate
 with math.fsum so results are independent of input ordering, except
 sequential_sum, which adds in input order.
-
-math.fsum is correctly rounded, so an exact zero term changes no sum, and
-a sum of zeros is 0.0 whatever their signs. cosine_similarity relies on
-this: it skips the zero entries of sparse vectors such as bag-of-words
-embeddings, and its results stay bit-identical to the dense formula.
 """
 
 from __future__ import annotations
@@ -15,7 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from functools import reduce
-from itertools import compress
 from operator import add, mul
 
 
@@ -124,30 +118,18 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def cosine_similarity(u: Sequence[float], v: Sequence[float]) -> float:
-    """Cosine of the angle between two vectors; identical vectors yield exactly 1.0.
-
-    Only the nonzero entries are checked, summed and compared. A zero entry
-    is finite, adds an exact zero to each fsum and equals any other zero, so
-    skipping it leaves every result and every error bit-identical to the
-    dense formula. One C-speed pass per vector finds the nonzero entries;
-    the rest of the work scales with their number.
-    """
+    """Cosine of the angle between two vectors; identical vectors yield exactly 1.0."""
     if len(u) != len(v):
         raise UndefinedStatisticError(f"dimension mismatch: {len(u)} vs {len(v)}")
     if len(u) < 1:
         raise UndefinedStatisticError("vectors must have dimension >= 1")
-    # NaN and inf are truthy, so the nonzero entries keep every non-finite one.
-    wu, wv = list(filter(None, u)), list(filter(None, v))
-    _check_finite("u", wu)
-    _check_finite("v", wv)
-    su = math.fsum(map(mul, wu, wu))
-    sv = math.fsum(map(mul, wv, wv))
+    _check_finite("u", u)
+    _check_finite("v", v)
+    su = math.fsum(map(mul, u, u))
+    sv = math.fsum(map(mul, v, v))
     if su == 0.0 or sv == 0.0:
         raise UndefinedStatisticError("cosine similarity of a zero vector is undefined")
-    # v at u's nonzero entries, aligned with wu. v equals u exactly when it
-    # matches there and has no further nonzero entries.
-    vu = list(compress(v, u))
-    if len(wv) == len(wu) and vu == wu:
+    if list(u) == list(v):
         return 1.0
-    dot = math.fsum(map(mul, wu, vu))
+    dot = math.fsum(map(mul, u, v))
     return min(1.0, max(-1.0, dot / (math.sqrt(su) * math.sqrt(sv))))

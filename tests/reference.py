@@ -99,7 +99,7 @@ def step(step_index, step_name, confidence) -> StepResult:
     if isinstance(step_index, bool) or not isinstance(step_index, int):
         raise ValidationError("step_index must be an integer")
     if step_index < 1:
-        raise ValidationError(f"step_index must be >= 1, got {step_index}")
+        raise ValidationError(f"step_index must be >= 1, got {echo(step_index)}")
     if not isinstance(step_name, str):
         raise ValidationError("step_name must be a string")
     return StepResult(step_index, step_name, unit("confidence", confidence))
@@ -374,9 +374,12 @@ def evaluate_records(records, config, probe_context, diagnostics) -> dict[str, A
     if not dimensions:
         raise EvaluationError("no evaluable records")
     # The weight-normalised mean of the present dimensions, or their plain mean
-    # when every present weight is 0.
+    # when every present weight is 0. Weights are first doubled, exactly, until
+    # the largest is at least 1.
     scores = [result["score"] for result in dimensions.values()]
     weights = [config.aggregate_weights[key.lower()] for key in dimensions]
+    while 0 < max(weights) < 1:
+        weights = [2 * w for w in weights]
     total = left_to_right(weights)
     if total > 0:
         overall = left_to_right([w * s for w, s in zip(weights, scores)]) / total

@@ -296,6 +296,36 @@ def test_a_ten_megabyte_type_or_state_adds_under_a_kilobyte_to_report_and_stderr
         assert errors == [{"line": 6, "message": f"line 6: {message}"}]
 
 
+def test_a_long_config_key_or_step_index_adds_under_a_kilobyte_to_stderr_or_report(
+        tmp_path, capsys):
+    config, trace, report = tmp_path / "c.json", tmp_path / "t.jsonl", tmp_path / "r.json"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    echoed = "'" + "k" * 99 + "...[1000002 characters]"
+    for short, long, message in (
+            ({"k": 1}, {"k" * 1_000_000: 1}, f"unknown config key {echoed}"),
+            ({"aggregate_weights": {"k": 1}}, {"aggregate_weights": {"k" * 1_000_000: 1}},
+             f"invalid config: unknown dimension in aggregate_weights: {echoed}")):
+        stderr = []
+        for payload in (short, long):
+            config.write_text(json.dumps(payload))
+            capsys.readouterr()
+            assert run_cli("evaluate", "--input", str(trace), "--config", str(config)) == 2
+            stderr.append(capsys.readouterr().err)
+        assert len(stderr[1]) - len(stderr[0]) < 1024
+        assert stderr[1] == f"error: {message}\n"
+
+    healthy, sizes = trace.read_text(), []
+    for step_index in (-1, -10**3999):
+        line = {"type": "step", "step_index": step_index, "step_name": "s", "confidence": 0.5}
+        trace.write_text(healthy + json.dumps(line) + "\n")
+        assert run_cli("evaluate", "--input", str(trace), "--output", str(report)) in (0, 1)
+        sizes.append(report.stat().st_size)
+    errors = json.loads(report.read_text())["parse_errors"]
+    assert sizes[1] - sizes[0] < 1024
+    assert errors == [{"line": 6, "message": "line 6: step_index must be >= 1, got -"
+                       + "1" + "0" * 98 + "...[4001 characters]"}]
+
+
 def _repeating_trace() -> str:
     """Attribution records with tied weights whose (feature names, ranks)
     repeats with other weights, and request pairs repeated in both orders."""

@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 
 import reference
 from evalgate.cli import main
-from evalgate.consistency import (
-    HashEmbeddingProvider,
-    agreement_rate,
-    consistency_score,
-)
+from evalgate import consistency
+from evalgate.consistency import HashEmbeddingProvider, consistency_score
 from evalgate.evaluator import _evaluate_consistency_dimension
 from evalgate.model import EvalConfig, EvaluationError, RequestPair
 from evalgate.stats import cosine_similarity
@@ -29,6 +26,10 @@ PROVIDER = HashEmbeddingProvider()
 
 def pair(a: str, b: str, da: str = "allow", db: str = "allow") -> RequestPair:
     return RequestPair(text_a=a, text_b=b, decision_a=da, decision_b=db)
+
+
+def agreement_rate(pairs: list[RequestPair]) -> float:
+    return consistency_score(pairs, PROVIDER, CFG).agreement_rate
 
 
 def test_agreement_rate_counts_exact_matches():
@@ -47,7 +48,7 @@ def test_single_flip_arithmetic():
     pairs = [pair(f"q{i}", f"q{i} please") for i in range(8)]
     assert agreement_rate(pairs) == 1.0
     flipped = pairs[:-1] + [pair("q7", "q7 please", "allow", "deny")]
-    assert agreement_rate(flipped) == pytest.approx(7 / 8)
+    assert agreement_rate(flipped) == 7 / 8
 
 
 def test_identical_requests_score_one():
@@ -314,14 +315,34 @@ def test_pair_path_gives_the_dense_paths_consistency_result(dimension, pairs):
 def test_bundled_provider_scores_pairs_without_embedding(monkeypatch):
     pairs = [pair("Grant access to the vault", "grant ACCESS vault vault"), pair("a", "A")]
 
-    def refuse(self, text):
-        raise AssertionError("embed called")
+    def refuse(first, second):
+        raise AssertionError("dense path taken")
 
     monkeypatch.setattr(HashEmbeddingProvider, "embed", refuse)
+    monkeypatch.setattr(consistency, "cosine_similarity", refuse)
     assert reference.exact(_evaluate_consistency_dimension(pairs, HashEmbeddingProvider(), CFG)) \
         == reference.exact(reference.consistency(pairs, CFG))
-    with pytest.raises(AssertionError, match="embed called"):
+    with pytest.raises(AssertionError, match="dense path taken"):
         consistency_score(pairs, EmbedPath(), CFG)  # a subclass keeps the embed path
+
+
+def test_the_token_memo_is_cleared_past_its_bound(monkeypatch):
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(400)]
+    pairs = [pair(" ".join(rng.choices(words, k=rng.randint(1, 12))),
+                  " ".join(rng.choices(words, k=rng.randint(1, 12))),
+                  *rng.choices(["allow", "deny"], k=2)) for _ in range(300)]
+    unbounded = consistency_score(pairs, HashEmbeddingProvider(), CFG)
+    monkeypatch.setattr(consistency, "_MEMO_ENTRIES", 32)
+    provider = HashEmbeddingProvider()
+    sizes = []
+    for p in pairs:
+        provider._cosine(p.text_a, p.text_b)
+        sizes.append(len(provider._index_of))
+    assert max(sizes) <= 32 and 0 in sizes
+    bounded = consistency_score(pairs, provider, CFG)
+    assert len(provider._index_of) <= 32
+    assert reference.exact(bounded) == reference.exact(unbounded)
 
 
 def test_pair_path_builds_no_vector():

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -154,6 +157,34 @@ def test_aggregate_is_the_unweighted_mean_when_every_present_weight_is_zero():
     report = evaluate_records(calls, EvalConfig(aggregate_weights={"tool": 0}))
     assert set(report.per_dimension) == {Dimension.TOOL}
     assert report.overall_score == report.per_dimension[Dimension.TOOL].score == 0.8
+
+
+def test_a_subnormal_weight_keeps_the_precision_of_its_score():
+    records = generate(ScenarioSpec("fm3", 42))
+    report = evaluate_records(records, EvalConfig(aggregate_weights={"distribution": 1e-320}))
+    assert set(report.per_dimension) == {Dimension.DISTRIBUTION}
+    assert report.overall_score == report.per_dimension[Dimension.DISTRIBUTION].score
+
+    results = {Dimension.TOOL: metric(0.7, True), Dimension.DISTRIBUTION: metric(0.3, True)}
+    tiny = EvalConfig(aggregate_weights={"tool": 1e-320, "distribution": 3e-320})
+    normal = EvalConfig(aggregate_weights={"tool": 1.0, "distribution": 3.0})
+    assert aggregate(results, tiny) == aggregate(results, normal)
+
+
+weights = st.one_of(st.just(0.0), st.floats(2.0**-500, 1e300), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(Dimension)), weights, st.floats(0.0, 1.0)),
+                min_size=1, max_size=5, unique_by=lambda t: t[0]))
+def test_scaling_the_weights_keeps_every_bit_when_products_and_sums_are_normal(drawn):
+    products = [w * s for _, w, s in drawn]
+    assume(all(w * s >= sys.float_info.min or 0.0 in (w, s) for _, w, s in drawn))
+    total = reduce(add, (w for _, w, _ in drawn), 0.0)
+    assume(0.0 < total < sys.float_info.max)
+    cfg = EvalConfig(aggregate_weights={d.value.lower(): w for d, w, _ in drawn})
+    overall, _ = aggregate({d: metric(s, True) for d, _, s in drawn}, cfg)
+    assert overall.hex() == (reduce(add, products, 0.0) / total).hex()
 
 
 def test_threshold_boundary_passes_at_equality():

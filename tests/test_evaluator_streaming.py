@@ -88,11 +88,27 @@ def request_pairs(draw) -> list[RequestPair]:
 
 
 @st.composite
+def tool_span(draw) -> list[Any]:
+    """Tool calls spread over a wide tick span and quality-tagged events only
+    in its upper half, so that TOOL's leading quality buckets are empty."""
+    span = draw(st.integers(100, 10**6))
+    calls = [ToolCallRecord("svc", draw(st.sampled_from(list(ToolCallState))),
+                            draw(st.floats(0.0, 1e4)), tick)
+             for tick in draw(st.lists(st.integers(0, span), min_size=2, max_size=12)) + [0, span]]
+    events = [OutputEvent("a", "s", tick, draw(units))
+              for tick in draw(st.lists(st.integers(span // 2, span), min_size=1, max_size=8))]
+    return calls + events
+
+
+@st.composite
 def mixed_streams(draw):
     chunks = draw(st.lists(
         st.one_of(tool_calls(), output_events(), attribution_cases(), request_pairs()),
         max_size=30,
     ))
+    if draw(st.booleans()):
+        for record in draw(tool_span()):
+            chunks.insert(draw(st.integers(0, len(chunks))), [record])
     for run in draw(st.lists(step_runs(), max_size=10)):
         chunks.insert(draw(st.integers(0, len(chunks))), run)
     records: list[Any] = [record for chunk in chunks for record in chunk]

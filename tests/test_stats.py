@@ -269,7 +269,8 @@ def test_fractional_ranks_average_ties():
     assert fractional_ranks([10.0, 20.0, 10.0, 30.0]) == [1.5, 3.0, 1.5, 4.0]
 
 
-# --- differential check of the sparse cosine against the oracle's dense one ---
+# --- differential check of cosine_similarity against the oracle, on sparse
+# vectors (zeros of either sign), lists or tuples ---
 
 # the nonzero entries: either sign, some so small that their squares
 # underflow, some so large that the sums overflow
@@ -317,7 +318,7 @@ def vector_pairs(draw):
     if bad is not None:
         target = draw(st.sampled_from([u, v]))
         target[draw(st.integers(0, len(target) - 1))] = bad
-    return u, v
+    return tuple(tuple(x) if draw(st.booleans()) else x for x in (u, v))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -342,6 +343,9 @@ def test_sparse_cosine_is_bit_equal_to_the_dense_formula(uv):
         ([1.0, 0.0], [0.0, 1.0]),
         ([1.0, 0.0], [1.0, 2.0]),
         ([-1.0, 0.0], [0.0, 1e-200]),
+        ((1.0, -0.0), [1.0, 0.0]),
+        ([5e-324, 0.0], (5e-324, -0.0)),
+        ((2.0, 1.0), (1.0, 2.0)),
     ],
 )
 def test_sparse_cosine_keeps_every_dense_result_and_message(u, v):
