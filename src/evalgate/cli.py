@@ -19,14 +19,13 @@ import stat
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import fields
 from pathlib import Path
 from typing import Any, TextIO
 
 from .evaluator import StreamDiagnostics, evaluate_stream
 from .explanation import ProbeContext
-from .model import (EvalConfig, EvalReport, EvaluationError, ValidationError, _echo,
-                    serialize_trace_record)
+from .model import (CONFIG_FIELDS, EvalConfig, EvalReport, EvaluationError, ValidationError,
+                    _echo, json_rejection, serialize_trace_record)
 from .simulate import (
     FM5_BASELINE_VALUES,
     FM5_ORIGINAL_VALUES,
@@ -53,23 +52,22 @@ def load_config(path: str | Path | None) -> EvalConfig:
         return EvalConfig()
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not text.strip():
         return EvalConfig()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {json_rejection(exc)}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
 
-    known = {f.name.rstrip("_"): f.name for f in fields(EvalConfig)}
     for key in payload:
-        if key not in known:
+        if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown config key {_echo(key)}")
     try:
-        return EvalConfig(**{known[key]: value for key, value in payload.items()})
+        return EvalConfig(**{CONFIG_FIELDS[key].name: value for key, value in payload.items()})
     except ValidationError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 

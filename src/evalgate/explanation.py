@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any, NamedTuple, Protocol
 
-from .model import AttributionCase, EvalConfig, EvaluationError, ValidationError
+from .model import AttributionCase, EvalConfig, EvaluationError, ValidationError, _echo
 from .stats import spearman
 
 _DETERMINISM_TOL = 1e-12
@@ -68,15 +68,15 @@ def perturbation_impacts(
     """
     for name in case.feature_names:
         if name not in baseline_values:
-            raise ValidationError(f"baseline_values missing feature {name!r}")
+            raise ValidationError(f"baseline_values missing feature {_echo(name)}")
         if name not in original_values:
-            raise ValidationError(f"original_values missing feature {name!r}")
+            raise ValidationError(f"original_values missing feature {_echo(name)}")
 
     def predict(values: dict[str, float], feature: str | None = None) -> float:
         try:
             return probe.predict(values)
         except Exception as exc:
-            what = "on unperturbed input" if feature is None else f"perturbing {feature!r}"
+            what = "on unperturbed input" if feature is None else f"perturbing {_echo(feature)}"
             raise EvaluationError(f"probe failed {what}: {exc}") from exc
 
     original = dict(original_values)

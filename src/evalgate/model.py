@@ -3,11 +3,11 @@
 Trace records arrive as a line-delimited JSON stream, one record per line,
 discriminated by a ``type`` field. The five trace records are slotted value
 objects: they check and normalise their fields on construction, the engine
-never mutates them, and they are not hashable. Metric results and the
-configuration are frozen dataclasses; a report is a NamedTuple, immutable
-and equal to a plain tuple of its values. Timestamps are integer ticks from
-the trace. No wall-clock value sits in a metric result or a report, so a
-replay gives an equal report.
+never mutates them, and they are not hashable. The configuration is a frozen
+dataclass; a metric result and a report are NamedTuples, immutable, equal to
+a plain tuple of their values and not checked again. Timestamps are integer
+ticks from the trace. No wall-clock value sits in a metric result or a
+report, so a replay gives an equal report.
 """
 
 from __future__ import annotations
@@ -236,18 +236,14 @@ RECORD_TYPES: dict[str, type] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class MetricResult:
-    """One dimension's normalized score plus its gate verdict and sub-signals."""
+class MetricResult(NamedTuple):
+    """One dimension's score and confidence in [0, 1], its gate verdict and
+    sub-signals; equal to a plain tuple of the same values."""
 
     score: float
     confidence: float
     passed: bool
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "score", _require_unit("score", self.score))
-        object.__setattr__(self, "confidence", _require_unit("confidence", self.confidence))
+    metadata: dict[str, Any]
 
 
 class EvalReport(NamedTuple):
@@ -292,8 +288,7 @@ class EvalConfig:
     )
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            name = f.name.rstrip("_")
+        for name, f in CONFIG_FIELDS.items():
             value = getattr(self, f.name)
             if f.type == "bool":
                 if not isinstance(value, bool):
@@ -342,7 +337,11 @@ class EvalConfig:
 
     def to_payload(self) -> dict[str, Any]:
         """The resolved config under its config-file key names."""
-        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
+        return {key: getattr(self, f.name) for key, f in CONFIG_FIELDS.items()}
+
+
+# Each config-file key and its EvalConfig field, in order; "lambda_" is read as "lambda".
+CONFIG_FIELDS = {f.name.rstrip("_"): f for f in fields(EvalConfig)}
 
 
 # Per wire name: the record class, a getter for its required fields in
@@ -357,6 +356,16 @@ _WIRE_SCHEMA = {
 }
 _WIRE_NAMES = {cls: name for name, cls in RECORD_TYPES.items()}
 _scan_once = json.JSONDecoder().scan_once
+
+
+def json_rejection(exc: ValueError | RecursionError) -> str:
+    """Why json.loads rejected a text: json's message, or the reason for its RecursionError
+    (deep nesting) or ValueError (an integer past sys.get_int_max_str_digits())."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return "integer has too many digits"
 
 
 def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord:
@@ -374,12 +383,8 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
     if end != len(line):
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
-        except RecursionError:
-            raise TraceParseError("invalid JSON: nested too deeply", line_number) from None
-        except ValueError:  # an integer longer than sys.get_int_max_str_digits()
-            raise TraceParseError("invalid JSON: integer has too many digits", line_number) from None
+        except (ValueError, RecursionError) as exc:
+            raise TraceParseError(f"invalid JSON: {json_rejection(exc)}", line_number) from None
     if not isinstance(payload, dict):
         raise TraceParseError("record must be a JSON object", line_number)
     record_type = payload.get("type")
@@ -405,10 +410,7 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
 
 def serialize_trace_record(record: TraceRecord) -> str:
     """Serialize a record to its one-line wire form. Round-trips via parse."""
-    try:
-        payload: dict[str, Any] = {"type": _WIRE_NAMES[type(record)]}
-    except KeyError:
-        raise TypeError(f"not a trace record: {type(record).__name__}") from None
+    payload: dict[str, Any] = {"type": _WIRE_NAMES[type(record)]}
     for f in fields(record):
         value = getattr(record, f.name)
         if value is not None:

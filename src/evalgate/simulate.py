@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (
@@ -29,8 +28,6 @@ from .model import (
     TraceRecord,
 )
 
-SCENARIOS = ("fm1", "fm2", "fm3", "fm5")
-
 FM1_VARIANTS: dict[str, tuple[float, ...]] = {
     "healthy": (0.90, 0.91, 0.89, 0.92, 0.91),
     "low1": (0.31, 0.87, 0.88, 0.90, 0.85),
@@ -40,18 +37,13 @@ FM1_VARIANTS: dict[str, tuple[float, ...]] = {
 
 _FM1_STEP_NAMES = ("resolve_entity", "fetch_profile", "score_risk", "apply_rules", "format_output")
 
-FM5_VARIANTS = ("causal", "proxy_first", "proxy_second")
 
+class ScenarioSpec(NamedTuple):
+    """A scenario, seed and variant ("" for the default); `generate` checks them."""
 
-@dataclass(frozen=True, slots=True)
-class ScenarioSpec:
     scenario: str
     seed: int = 42
     variant: str = ""
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
 
 
 def _rng(seed: int, *parts: object) -> random.Random:
@@ -63,8 +55,6 @@ def _rng(seed: int, *parts: object) -> random.Random:
 
 def generate_fm1(variant: str) -> list[StepResult]:
     """Pinned 5-step confidence vectors, one per variant. No randomness."""
-    if variant not in FM1_VARIANTS:
-        raise ValueError(f"unknown fm1 variant {variant!r}; expected one of {tuple(FM1_VARIANTS)}")
     return [
         StepResult(step_index=i + 1, step_name=_FM1_STEP_NAMES[i], confidence=c)
         for i, c in enumerate(FM1_VARIANTS[variant])
@@ -312,8 +302,6 @@ def generate_fm5(variant: str, seed: int, noise_scale: float = 0.02) -> Fm5Case:
     Claimed weights get small seeded observation noise that preserves the
     variant's ranking. noise_scale=0 gives the noiseless case.
     """
-    if variant not in _FM5_CLAIMED_ORDER:
-        raise ValueError(f"unknown fm5 variant {variant!r}; expected one of {FM5_VARIANTS}")
     probe = reference_probe()
     decision_value = probe.predict(FM5_ORIGINAL_VALUES)
 
@@ -339,25 +327,32 @@ def generate_fm5(variant: str, seed: int, noise_scale: float = 0.02) -> Fm5Case:
 
 # --- spec dispatch -----------------------------------------------------------
 
+# Each scenario's variants, its default first; "" alone means it takes none.
+SCENARIO_VARIANTS = {"fm1": tuple(FM1_VARIANTS), "fm2": ("",), "fm3": ("",),
+                     "fm5": tuple(_FM5_CLAIMED_ORDER)}
+SCENARIOS = tuple(SCENARIO_VARIANTS)
+FM5_VARIANTS = SCENARIO_VARIANTS["fm5"]
+
+
 def default_variant(scenario: str) -> str:
-    if scenario == "fm1":
-        return "healthy"
-    if scenario == "fm5":
-        return "causal"
-    return ""
+    return SCENARIO_VARIANTS[scenario][0]
 
 
 def generate(spec: ScenarioSpec) -> list[TraceRecord]:
     """Flat trace records for a scenario spec, ready for serialization."""
-    variant = spec.variant or default_variant(spec.scenario)
-    if spec.scenario == "fm1":
-        return list(generate_fm1(variant))
-    if spec.scenario == "fm2":
-        if variant:
-            raise ValueError("scenario fm2 takes no variant")
-        return generate_fm2(spec.seed).records
-    if spec.scenario == "fm3":
-        if variant:
-            raise ValueError("scenario fm3 takes no variant")
-        return list(generate_fm3(spec.seed))
-    return generate_fm5(variant, spec.seed).records
+    scenario, seed, variant = spec
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    variants = SCENARIO_VARIANTS[scenario]
+    variant = variant or variants[0]
+    if variant not in variants:
+        if not variants[0]:
+            raise ValueError(f"scenario {scenario} takes no variant")
+        raise ValueError(f"unknown {scenario} variant {variant!r}; expected one of {variants}")
+    if scenario == "fm1":
+        return generate_fm1(variant)
+    if scenario == "fm2":
+        return generate_fm2(seed).records
+    if scenario == "fm3":
+        return generate_fm3(seed)
+    return generate_fm5(variant, seed).records

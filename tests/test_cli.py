@@ -325,6 +325,17 @@ def test_a_long_config_key_or_step_index_adds_under_a_kilobyte_to_stderr_or_repo
     assert errors == [{"line": 6, "message": "line 6: step_index must be >= 1, got -"
                        + "1" + "0" * 98 + "...[4001 characters]"}]
 
+    stderr = []  # a feature name the probe lacks still exits 2, with one short line
+    for feature in ("k", "k" * 1_000_000):
+        line = {"type": "attribution", "feature_names": [feature, "bar"],
+                "claimed_weights": [0.6, 0.4], "decision_value": 0.5}
+        trace.write_text(json.dumps(line) + "\n")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--input", str(trace)) == 2
+        stderr.append(capsys.readouterr().err)
+    assert len(stderr[1]) - len(stderr[0]) < 1024
+    assert stderr[1] == f"error: baseline_values missing feature {echoed}\n"
+
 
 def _repeating_trace() -> str:
     """Attribution records with tied weights whose (feature names, ranks)
@@ -532,6 +543,24 @@ def test_config_number_too_large_for_a_float_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: invalid config: tau_u must be finite, got an integer too large for a float\n"
     )
+
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"tau_u": 1' + b"0" * 4_999 + b"}",
+     "config {} is not valid JSON: integer has too many digits"),
+    (b'{"tau_u": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+     "config {} is not valid JSON: nested too deeply"),
+    (b'{"tau_u": 0.5, "k": "\xff"}', "cannot read config {}: 'utf-8' codec can't decode byte "
+                                      "0xff in position 21: invalid start byte"),
+], ids=["5000-digit integer", "100000-deep nesting", "0xff byte"])
+def test_a_config_that_is_not_json_or_utf8_names_its_file_and_exits_two(
+        tmp_path, capsys, text, message):
+    trace, config_path = tmp_path / "t.jsonl", tmp_path / "cfg.json"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+    config_path.write_bytes(text)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--input", str(trace), "--config", str(config_path)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(config_path)}\n"
 
 
 def test_huge_tick_is_a_parse_error_and_other_lines_evaluate(tmp_path):

@@ -47,7 +47,7 @@ def probe_context() -> ProbeContext:
 
 
 def metric(score: float, passed: bool) -> MetricResult:
-    return MetricResult(score, 1.0, passed)
+    return MetricResult(score, 1.0, passed, {})
 
 
 def test_output_only_stream_contains_exactly_distribution():

@@ -1,11 +1,13 @@
 """The one-pass evaluator against the reference oracle (same report bytes,
-notes and errors, also with ticks at TOOL's int64 edge), metamorphic relations
+notes and errors, also with ticks at TOOL's int64 edge), the range of every
+metric result, metamorphic relations
 over mixed streams of all five record types, and two memory bounds: nothing
 grows with steps and window events, a few 8-byte numbers per tool call and
 quality-carrying output event."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -24,6 +26,7 @@ from evalgate.explanation import ProbeContext
 from evalgate.model import (
     AttributionCase,
     EvalConfig,
+    EvaluationError,
     OutputEvent,
     RequestPair,
     StepResult,
@@ -150,6 +153,24 @@ def run(evaluate, records, config, probe) -> tuple:
 def test_one_pass_evaluator_matches_the_list_based_one(inputs):
     records, config, probe = inputs
     assert run(engine, records, config, probe) == run(oracle, records, config, probe)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mixed_streams(), st.floats(0.0, 4.0), units)
+def test_every_metric_result_holds_unit_floats_and_its_threshold_verdict(inputs, lambda_, tau_u):
+    """MetricResult checks nothing: each scorer's own clamp keeps its score and
+    confidence floats in [0, 1], also where a cascade penalty above the default
+    takes a pipeline's raw score below 0."""
+    records, config, probe = inputs
+    config = dataclasses.replace(config, lambda_=lambda_, tau_u=tau_u)
+    try:
+        report = evaluate_records(iter(records), config, probe_context=probe)
+    except (EvaluationError, TypeError):  # nothing evaluable, or the stray object
+        return
+    for dimension, result in report.per_dimension.items():
+        assert type(result.score) is float and 0.0 <= result.score <= 1.0
+        assert type(result.confidence) is float and 0.0 <= result.confidence <= 1.0
+        assert result.passed is (result.score >= config.threshold(dimension))
 
 
 # --- metamorphic relations ----------------------------------------------------

@@ -14,7 +14,6 @@ from evalgate.model import (
     DIMENSION_KEYS,
     AttributionCase,
     EvalConfig,
-    MetricResult,
     OutputEvent,
     RequestPair,
     StepResult,
@@ -179,11 +178,6 @@ def test_step_index_must_be_positive_integer():
         StepResult(0, "x", 0.5)
     with pytest.raises(ValidationError):
         StepResult(True, "x", 0.5)
-
-
-def test_metric_result_clamps_nothing_silently():
-    with pytest.raises(ValidationError):
-        MetricResult(score=1.5, confidence=1.0, passed=True)
 
 
 def test_config_simplex_constraint():

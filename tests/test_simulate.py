@@ -57,8 +57,9 @@ def test_different_seeds_differ():
 def test_fm1_pinned_vectors():
     assert tuple(s.confidence for s in generate_fm1("low1")) == FM1_VARIANTS["low1"]
     assert [s.step_index for s in generate_fm1("healthy")] == [1, 2, 3, 4, 5]
-    with pytest.raises(ValueError, match="variant"):
-        generate_fm1("sideways")
+    with pytest.raises(ValueError, match="unknown fm1 variant 'sideways'; expected one of "
+                                         r"\('healthy', 'low1', 'low2', 'multi'\)"):
+        generate(ScenarioSpec("fm1", variant="sideways"))
 
 
 def test_fm2_exact_partial_counts_any_seed():
@@ -115,17 +116,18 @@ def test_fm5_claimed_weights_descending_with_noise():
 
 
 def test_fm5_rejects_unknown_variant():
-    with pytest.raises(ValueError, match="variant"):
-        generate_fm5("inverted", 42)
+    with pytest.raises(ValueError, match="unknown fm5 variant 'inverted'; expected one of "
+                                         r"\('causal', 'proxy_first', 'proxy_second'\)"):
+        generate(ScenarioSpec("fm5", 42, "inverted"))
 
 
 def test_scenario_spec_validation_and_defaults():
-    with pytest.raises(ValueError, match="scenario"):
-        ScenarioSpec("fm9")
+    with pytest.raises(ValueError, match="unknown scenario 'fm9'"):
+        generate(ScenarioSpec("fm9"))
     assert default_variant("fm1") == "healthy"
     assert default_variant("fm5") == "causal"
     assert default_variant("fm2") == ""
-    with pytest.raises(ValueError, match="no variant"):
+    with pytest.raises(ValueError, match="^scenario fm3 takes no variant$"):
         generate(ScenarioSpec("fm3", variant="wide"))
 
 

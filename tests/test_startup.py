@@ -16,7 +16,7 @@ from evalgate.cli import main
 from evalgate.consistency import ConsistencyResult
 from evalgate.distribution import DistributionSnapshot
 from evalgate.explanation import ExplanationResult, ProbeContext
-from evalgate.model import EvalReport
+from evalgate.model import EvalReport, MetricResult
 from evalgate.reliability import ReliabilityResult
 from evalgate.simulate import (
     FM5_BASELINE_VALUES,
@@ -24,24 +24,25 @@ from evalgate.simulate import (
     Fm2Scenario,
     Fm2Stage,
     Fm5Case,
+    ScenarioSpec,
     reference_probe,
 )
 
 SOURCE = Path(__file__).resolve().parent.parent / "src"
 
-# The only dataclasses: each carries the wire or config schema, or a check in
-# __post_init__. Every other value object is a NamedTuple, which is declared
-# without generating and compiling code in each process.
+# The only dataclasses: the five trace records and the config, which carry the
+# wire or config schema and check it in __post_init__, and StreamDiagnostics,
+# which the evaluator fills in as it reads. Every other value object is a
+# NamedTuple, which is declared without generating and compiling code in each
+# process.
 DATACLASSES = {
     "evalgate.evaluator.StreamDiagnostics",
     "evalgate.model.AttributionCase",
     "evalgate.model.EvalConfig",
-    "evalgate.model.MetricResult",
     "evalgate.model.OutputEvent",
     "evalgate.model.RequestPair",
     "evalgate.model.StepResult",
     "evalgate.model.ToolCallRecord",
-    "evalgate.simulate.ScenarioSpec",
 }
 
 
@@ -97,7 +98,9 @@ def _value_objects():
         ConsistencyResult(agreement_rate=1.0, mean_similarity=0.9, score=0.9, flagged=False,
                           pair_count=2),
         context,
+        MetricResult(score=0.5, confidence=1.0, passed=False, metadata={}),
         EvalReport(per_dimension={}, overall_score=1.0, passed=True),
+        ScenarioSpec(scenario="fm1", seed=7, variant="low1"),
         stage,
         Fm2Scenario(stages=(stage,)),
         Fm5Case(case=None, probe=context.probe, original_values={}, baseline_values={}),
