@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from operator import attrgetter, eq
 from typing import Any, NamedTuple, Protocol
 
 from .model import EvalConfig, EvaluationError, RequestPair, _echo
@@ -29,6 +30,24 @@ class EmbeddingProvider(Protocol):
     def embed(self, text: str) -> list[float]: ...
 
 
+class _TokenIndex(dict):
+    """token -> vector index. A missing token is hashed (sha256) and stored; once
+    the memo holds _MEMO_ENTRIES entries it is cleared first, even inside one text."""
+
+    __slots__ = ("dimension",)
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= _MEMO_ENTRIES:
+            self.clear()
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        index = self[token] = int.from_bytes(digest[:8], "big") % self.dimension
+        return index
+
+
 class HashEmbeddingProvider:
     """Token-hash bag-of-words embedding, L2-normalized.
 
@@ -37,7 +56,7 @@ class HashEmbeddingProvider:
     processes and platforms; never zero for non-empty text.
 
     Each instance memoizes token -> index, so sha256 runs once per distinct
-    token until the memo passes _MEMO_ENTRIES and is cleared. consistency_score
+    token while the memo holds at most _MEMO_ENTRIES entries. consistency_score
     scores pairs with this exact class from index sets, bit-equal to the cosine
     of the vectors.
     """
@@ -46,22 +65,11 @@ class HashEmbeddingProvider:
         if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
             raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
-        self._index_of: dict[str, int] = {}
+        self._index_of = _TokenIndex(dimension)
 
     def _indices(self, text: str) -> list[int]:
         """The vector index of each lowered token (of the text itself if it has none)."""
-        tokens = text.lower().split() or [text]
-        index_of = self._index_of
-        try:
-            return list(map(index_of.__getitem__, tokens))
-        except KeyError:
-            for token in set(tokens).difference(index_of):
-                digest = hashlib.sha256(token.encode("utf-8")).digest()
-                index_of[token] = int.from_bytes(digest[:8], "big") % self.dimension
-            indices = list(map(index_of.__getitem__, tokens))
-            if len(index_of) > _MEMO_ENTRIES:
-                index_of.clear()
-            return indices
+        return list(map(self._index_of.__getitem__, text.lower().split() or [text]))
 
     @staticmethod
     def _unit_counts(indices: list[int]) -> dict[int, float]:
@@ -76,25 +84,29 @@ class HashEmbeddingProvider:
             vector[index] = value
         return vector
 
-    def _cosine(self, text_a: str, text_b: str) -> float:
-        """cosine_similarity(embed(text_a), embed(text_b)) bit for bit, from the index sets.
+    def _similarities(self, pairs: Iterable[tuple[str, str]]) -> list[float]:
+        """cosine_similarity(embed(a), embed(b)) for each (a, b), bit for bit, from the index sets.
 
         With no index collision in either text every count is 1, so each fsum
         of cosine_similarity adds m copies of one product: one float multiply.
         Equal vectors need no identity check: their dot equals su and sv, within
         a few ulps of 1, where dot / (sqrt(su) * sqrt(sv)) is never below 1.0.
         """
-        a, b = self._indices(text_a), self._indices(text_b)
-        set_a, set_b = set(a), set(b)
-        if len(set_a) == len(a) and len(set_b) == len(b):
-            wa, wb = 1.0 / math.sqrt(len(a)), 1.0 / math.sqrt(len(b))
-            su, sv = len(a) * (wa * wa), len(b) * (wb * wb)
-            dot = len(set_a & set_b) * (wa * wb)
-        else:
-            u, v = self._unit_counts(a), self._unit_counts(b)
-            su, sv = math.fsum(x * x for x in u.values()), math.fsum(x * x for x in v.values())
-            dot = math.fsum(x * v[i] for i, x in u.items() if i in v)
-        return min(1.0, max(-1.0, dot / (math.sqrt(su) * math.sqrt(sv))))
+        indices, sqrt, fsum = self._indices, math.sqrt, math.fsum
+        similarities = []
+        for text_a, text_b in pairs:
+            a, b = indices(text_a), indices(text_b)
+            set_a, set_b = set(a), set(b)
+            if len(set_a) == len(a) and len(set_b) == len(b):
+                wa, wb = 1.0 / sqrt(len(a)), 1.0 / sqrt(len(b))
+                su, sv = len(a) * (wa * wa), len(b) * (wb * wb)
+                dot = len(set_a & set_b) * (wa * wb)
+            else:
+                u, v = self._unit_counts(a), self._unit_counts(b)
+                su, sv = fsum(x * x for x in u.values()), fsum(x * x for x in v.values())
+                dot = fsum(x * v[i] for i, x in u.items() if i in v)
+            similarities.append(min(1.0, max(-1.0, dot / (sqrt(su) * sqrt(sv)))))
+        return similarities
 
 
 class ConsistencyResult(NamedTuple):
@@ -125,19 +137,20 @@ def consistency_score(
     Disagreeing pairs still contribute to the similarity mean. The flag
     fires on agreement rate alone, against theta_ar.
     """
-    similarity = (provider._cosine if type(provider) is HashEmbeddingProvider
-                  else lambda a, b: cosine_similarity(provider.embed(a), provider.embed(b)))
-    agreed = 0
-    similarities: list[float] = []
-    for pair in pairs:
-        agreed += pair.decision_a == pair.decision_b
-        try:
-            sim = similarity(pair.text_a, pair.text_b)
-        except UndefinedStatisticError as exc:
-            raise EvaluationError(
-                f"embedding failed for pair {_echo((pair.text_a, pair.text_b))}: {exc}"
-            ) from exc
-        similarities.append(sim)
+    if type(provider) is HashEmbeddingProvider:
+        similarities = provider._similarities(map(attrgetter("text_a", "text_b"), pairs))
+    else:
+        similarities = []
+        for pair in pairs:
+            try:
+                sim = cosine_similarity(provider.embed(pair.text_a), provider.embed(pair.text_b))
+            except UndefinedStatisticError as exc:
+                raise EvaluationError(
+                    f"embedding failed for pair {_echo((pair.text_a, pair.text_b))}: {exc}"
+                ) from exc
+            similarities.append(sim)
+    agreed = sum(map(eq, map(attrgetter("decision_a"), pairs),
+                     map(attrgetter("decision_b"), pairs)))
     rate = agreed / len(pairs)
     mean_similarity = math.fsum(similarities) / len(similarities)
     return ConsistencyResult(

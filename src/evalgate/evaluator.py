@@ -27,6 +27,7 @@ import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Any
 
 from .cascade import CascadeResult, InsufficientTraceError, evaluate_cascade
@@ -52,7 +53,7 @@ from .model import (
     parse_trace_record,
 )
 from .reliability import LATENCY_BUCKET_COUNT, bucket_indices, evaluate_reliability
-from .stats import UndefinedStatisticError, fractional_ranks, sequential_sum
+from .stats import UndefinedStatisticError, sequential_sum
 
 # A scored dimension: (score, confidence, metadata).
 Outcome = tuple[float, float, dict[str, Any]]
@@ -262,20 +263,22 @@ def _evaluate_explanation_dimension(
 
     The probe context is fixed for the call, so a case's impacts depend only
     on its feature names, and ACS sees the claimed weights only through their
-    fractional ranks. So each distinct (feature names, ranks) is scored once,
-    with one probe determinism re-check, and every case that repeats it
-    reuses the result. The memo is local to the call: another call may bring
-    another probe.
+    fractional ranks. A case is built only with non-increasing weights, so
+    its ranks depend only on which adjacent weights are equal. So each
+    distinct (feature names, adjacent ties) is scored once, with one probe
+    determinism re-check, and every case that repeats it reuses the result.
+    The memo is local to the call: another call may bring another probe.
     """
     if probe_context is None:
         raise EvaluationError(
             "attribution records present but no probe context supplied; "
             "pass a ProbeContext to evaluate the EXPLANATION dimension"
         )
-    memo: dict[tuple[tuple[str, ...], tuple[float, ...]], ExplanationResult] = {}
+    memo: dict[tuple[tuple[str, ...], tuple[bool, ...]], ExplanationResult] = {}
     results: list[ExplanationResult] = []
     for case in cases:
-        key = (case.feature_names, tuple(fractional_ranks(case.claimed_weights)))
+        weights = case.claimed_weights
+        key = (case.feature_names, tuple(map(eq, weights, weights[1:])))
         result = memo.get(key)
         if result is None:
             result = memo[key] = evaluate_explanation(

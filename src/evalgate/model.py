@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Any, NamedTuple, Union
 
 
@@ -78,6 +78,7 @@ def _require_real(name: str, value: Any) -> float:
 
 
 _FLOAT_MAX = sys.float_info.max
+_FLOAT, _STR = {float}, {str}
 
 # Ticks lie in [-MAX_TICK, MAX_TICK], so the difference of any two converts to a float.
 MAX_TICK = 2**1022
@@ -98,10 +99,12 @@ def _echo(value: Any) -> str:
     return text if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]}...[{len(text)} characters]"
 
 
-# The records below check every field in __post_init__. Each check of a
-# number starts with an exact-type test that accepts a subset of what the
-# general check accepts; anything else takes the general check, which gives
-# the error text. A field is written back only when its value changes type.
+# The five records below check every field in __post_init__. Each check of a
+# number, and the whole check of an attribution case and of a request pair,
+# starts with an exact-type test that accepts a subset of what the general
+# checks accept and stores the same fields; anything else takes the general
+# checks, which give the error text. A field is written back only when its
+# value changes type.
 
 
 @dataclass(slots=True)
@@ -181,6 +184,16 @@ class AttributionCase:
     decision_value: float
 
     def __post_init__(self) -> None:
+        names, weights, decision = self.feature_names, self.claimed_weights, self.decision_value
+        # Non-increasing floats from a finite first to a non-negative last are all finite and >= 0.
+        if (type(names) is list and type(weights) is list and 2 <= len(weights) == len(names)
+                and {*map(type, weights)} == _FLOAT and weights[0] <= _FLOAT_MAX
+                and all(map(ge, weights, weights[1:])) and weights[-1] >= 0.0
+                and type(decision) is float and decision - decision == 0.0
+                and {*map(type, names)} == _STR and "" not in names
+                and len({*names}) == len(names)):
+            self.feature_names, self.claimed_weights = tuple(names), tuple(weights)
+            return
         if not isinstance(self.feature_names, (list, tuple)) or \
                 not isinstance(self.claimed_weights, (list, tuple)):
             raise ValidationError("feature_names and claimed_weights must be lists")
@@ -215,6 +228,9 @@ class RequestPair:
     decision_b: str
 
     def __post_init__(self) -> None:
+        a, b, c, d = self.text_a, self.text_b, self.decision_a, self.decision_b
+        if type(a) is type(b) is type(c) is type(d) is str and a and b and c and d:
+            return
         for name in ("text_a", "text_b", "decision_a", "decision_b"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -271,15 +272,19 @@ def test_pair_path_is_bit_equal_to_the_cosine_of_the_embeddings():
     reached = set()
 
     @settings(max_examples=800, deadline=None, derandomize=True)
-    @given(st.sampled_from([1, 2, 3, 7, 256]), text_pairs())
+    @given(st.sampled_from([1, 2, 3, 7, 256]), st.lists(text_pairs(), min_size=1, max_size=6))
     def check(dimension, texts):
-        text_a, text_b = texts
+        expected = [reference.exact(reference.cosine(reference.embed(text_a, dimension),
+                                                     reference.embed(text_b, dimension)))
+                    for text_a, text_b in texts]
+        # each pair with a cold memo, then all of them in one call, the memo carrying over
+        assert [reference.exact(HashEmbeddingProvider(dimension)._similarities([ab])[0])
+                for ab in texts] == expected
         provider = HashEmbeddingProvider(dimension)
-        expected = reference.cosine(reference.embed(text_a, dimension),
-                                    reference.embed(text_b, dimension))
-        assert reference.exact(provider._cosine(text_a, text_b)) == reference.exact(expected)
-        collision = has_collision(provider, text_a) or has_collision(provider, text_b)
-        reached.add((collision, expected == 1.0))
+        assert [reference.exact(sim) for sim in provider._similarities(texts)] == expected
+        for (text_a, text_b), sim in zip(texts, expected):
+            collision = has_collision(provider, text_a) or has_collision(provider, text_b)
+            reached.add((collision, sim == reference.exact(1.0)))
 
     check()
     # both branches, each with equal and with unequal vectors
@@ -289,11 +294,12 @@ def test_pair_path_is_bit_equal_to_the_cosine_of_the_embeddings():
 def test_equal_texts_score_exactly_one_without_an_identity_check():
     provider = HashEmbeddingProvider(2**40)  # no index collision among these tokens
     tokens = [f"t{i}" for i in range(1000)]
+    pairs = []
     for n in range(1, len(tokens) + 1):
         text = " ".join(tokens[:n])
         assert not has_collision(provider, text)
-        assert provider._cosine(text, text.upper()) == 1.0
-        assert provider._cosine(f"{text} t0 t0", f"T0 T0 {text}") == 1.0  # counts 3 and 1
+        pairs += [(text, text.upper()), (f"{text} t0 t0", f"T0 T0 {text}")]  # counts 3 and 1
+    assert provider._similarities(pairs) == [1.0] * len(pairs)
 
 
 class EmbedPath(HashEmbeddingProvider):
@@ -337,12 +343,29 @@ def test_the_token_memo_is_cleared_past_its_bound(monkeypatch):
     provider = HashEmbeddingProvider()
     sizes = []
     for p in pairs:
-        provider._cosine(p.text_a, p.text_b)
+        provider._similarities([(p.text_a, p.text_b)])
         sizes.append(len(provider._index_of))
-    assert max(sizes) <= 32 and 0 in sizes
+    # never above the bound, and emptied on the way: the memo shrinks after some pair
+    assert max(sizes) <= 32 and any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
     bounded = consistency_score(pairs, provider, CFG)
     assert len(provider._index_of) <= 32
     assert reference.exact(bounded) == reference.exact(unbounded)
+
+
+def test_the_token_memo_stays_within_its_bound_inside_one_text(monkeypatch):
+    monkeypatch.setattr(consistency, "_MEMO_ENTRIES", 32)
+    provider = HashEmbeddingProvider()
+    held = []
+
+    def sha256(data):
+        held.append(len(provider._index_of))  # entries held as one more token is hashed
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(consistency, "hashlib", SimpleNamespace(sha256=sha256))
+    text = " ".join(f"t{i}" for i in range(100))
+    vector = provider.embed(text)
+    assert len(held) == 100 and max(held) < 32 and len(provider._index_of) <= 32
+    assert reference.exact(vector) == reference.exact(reference.embed(text))
 
 
 def test_pair_path_builds_no_vector():

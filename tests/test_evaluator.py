@@ -315,8 +315,9 @@ class CountingProbe:
 @st.composite
 def explanation_inputs(draw):
     """A 5-feature linear probe (tied and zero weights included) and cases over
-    a few name tuples, with weights from a small set so that ties are common.
-    Now and then the baseline lacks f4, so a case naming it raises."""
+    a few name tuples, with weights from a small set so that ties are common,
+    0.0 against -0.0 among them. Now and then the baseline lacks f4, so a case
+    naming it raises."""
     probe_weights = draw(st.lists(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.3)),
                                   min_size=5, max_size=5))
     probe = LinearProbe(dict(zip(FIVE, probe_weights)), bias=0.1)
@@ -327,7 +328,7 @@ def explanation_inputs(draw):
     cases = []
     for _ in range(draw(st.integers(1, 30))):
         names = draw(st.sampled_from(name_pool))
-        weights = draw(st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.9)),
+        weights = draw(st.lists(st.sampled_from((0.0, -0.0, 0.1, 0.5, 0.9)),
                                 min_size=len(names), max_size=len(names)))
         cases.append(AttributionCase(names, sorted(weights, reverse=True), 0.5))
     missing = draw(st.sampled_from((None, None, None, "f4")))

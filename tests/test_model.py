@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -318,10 +319,12 @@ STATE_VALUES = (
     '"SUCCESS"', '"PARTIAL"', '"FAILED"', '"success"', '"flaky"', '""',
     "1", "0.5", "true", "null", "[]", "{}", '["SUCCESS"]', '"' + "x" * 200 + '"',
 )
-NAME_LISTS = ('["a","b"]', '["a","b","c"]', '["a","a"]', '["a","b","a"]', '["a",""]', '["a",1]',
-              '["a"]', "[]", '"ab"', "null", "{}")
+NAME_LISTS = ('["a","b"]', '["a","b","c"]', '["a","b","c","d"]', '["a","a"]', '["a","b","a"]',
+              '["b","a","b"]', '["a",""]', '["a","b",""]', '["a",1]', '["a"]', "[]", '"ab"', "null",
+              "{}")
 WEIGHT_LISTS = ("[0.6,0.4]", "[1,0]", "[0.5,0.5,0.0]", "[0.4,0.6]", "[0.6]", "[0.6,-0.0]",
-                "[0.6,NaN]", "[1e999,1]", "[true,false]", "[0.6,null]", "null", '"ab"', "{}")
+                "[0.5,-0.0,0.0]", "[0.9,0.5,0.5,0.1]", "[1.7976931348623157e308,1]", "[0.6,NaN]",
+                "[0.6,NaN,0.1]", "[1e999,1]", "[true,false]", "[0.6,null]", "null", '"ab"', "{}")
 
 FIELD_VALUES = {
     "step_index": TICKS,
@@ -367,6 +370,11 @@ def test_fast_paths_agree_with_the_reference_on_each_special_value():
                 _assert_same_outcome(_line(record_type, {**valid, name: value}))
         if record_type == "output":
             _assert_same_outcome(_line(record_type, {**valid, "quality_signal": None}))
+    # every name list with every weight list, so lists of 3 and 4 reach each check
+    valid = VALID_LINES["attribution"]
+    for names, weights in itertools.product(NAME_LISTS, WEIGHT_LISTS):
+        _assert_same_outcome(_line("attribution", {**valid, "feature_names": names,
+                                                   "claimed_weights": weights}))
 
 
 def _fragments(name):
@@ -384,6 +392,9 @@ def _fragments(name):
             st.lists(st.floats(allow_nan=False), min_size=2, max_size=4).map(
                 lambda v: json.dumps(sorted(v, reverse=True))),
         )
+    if name == "feature_names":
+        return st.one_of(special, st.lists(st.sampled_from(("a", "b", "c", "", "é")),
+                                           min_size=2, max_size=4).map(json.dumps))
     return special
 
 
@@ -402,6 +413,29 @@ def trace_lines(draw):
 @given(trace_lines())
 def test_fast_paths_agree_with_the_reference(line):
     _assert_same_outcome(line)
+
+
+class Name(str):
+    """A str subclass, which only the general checks accept."""
+
+
+class Weight(float):
+    """A float subclass, which only the general checks accept."""
+
+
+def test_library_built_cases_and_pairs_agree_with_the_reference():
+    names = (("a", "b"), ["a", "b"], ("a", "b", "c"), ["b", "a", "b"], ("a", ""), [Name("a"), "b"],
+             ("a", 1), "ab")
+    weights = ((0.6, 0.4), [0.6, 0.4], (0.5, 0.5, -0.0), [0.9, 0.5, 0.1], [Weight(0.6), 0.4],
+               [1, 0], (True, False), [0.4, 0.6], [math.inf, 1.0], [0.6, math.nan], [0.6, -0.5])
+    decisions = (0.5, -0.0, 1, True, math.nan, math.inf, Weight(0.5), "0.5")
+    for case in itertools.product(names, weights, decisions):
+        assert reference.outcome(AttributionCase, *case) == \
+            reference.outcome(reference.attribution, *case), case
+    texts = ("a", "", Name("a"), Name(""), 1, None)
+    for pair in itertools.product(texts, ("b",), texts, ("deny", "")):
+        assert reference.outcome(RequestPair, *pair) == \
+            reference.outcome(reference.request_pair, *pair), pair
 
 
 # JSON whitespace is the first four; str.strip() removes all eight.
