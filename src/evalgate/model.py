@@ -100,11 +100,10 @@ def _echo(value: Any) -> str:
 
 
 # The five records below check every field in __post_init__. Each check of a
-# number, and the whole check of an attribution case and of a request pair,
-# starts with an exact-type test that accepts a subset of what the general
-# checks accept and stores the same fields; anything else takes the general
-# checks, which give the error text. A field is written back only when its
-# value changes type.
+# number, or of a list of numbers or of names, starts with an exact-type test
+# that accepts a subset of what the general check accepts; anything else takes
+# the general check, which gives the error text. A number is written back only
+# when its value changes type.
 
 
 @dataclass(slots=True)
@@ -184,37 +183,28 @@ class AttributionCase:
     decision_value: float
 
     def __post_init__(self) -> None:
-        names, weights, decision = self.feature_names, self.claimed_weights, self.decision_value
-        # Non-increasing floats from a finite first to a non-negative last are all finite and >= 0.
-        if (type(names) is list and type(weights) is list and 2 <= len(weights) == len(names)
-                and {*map(type, weights)} == _FLOAT and weights[0] <= _FLOAT_MAX
-                and all(map(ge, weights, weights[1:])) and weights[-1] >= 0.0
-                and type(decision) is float and decision - decision == 0.0
-                and {*map(type, names)} == _STR and "" not in names
-                and len({*names}) == len(names)):
-            self.feature_names, self.claimed_weights = tuple(names), tuple(weights)
-            return
-        if not isinstance(self.feature_names, (list, tuple)) or \
-                not isinstance(self.claimed_weights, (list, tuple)):
+        names, weights = self.feature_names, self.claimed_weights
+        if not isinstance(names, (list, tuple)) or not isinstance(weights, (list, tuple)):
             raise ValidationError("feature_names and claimed_weights must be lists")
-        if type(self.feature_names) is not tuple:
-            self.feature_names = tuple(self.feature_names)
-        weights = tuple(_require_real("claimed_weights", w) for w in self.claimed_weights)
-        self.claimed_weights = weights
-        if len(self.feature_names) != len(weights):
+        self.feature_names = names = tuple(names)
+        if {*map(type, weights)} != _FLOAT or not all(map(math.isfinite, weights)):
+            weights = (_require_real("claimed_weights", w) for w in weights)
+        self.claimed_weights = weights = tuple(weights)
+        if len(names) != len(weights):
             raise ValidationError("feature_names and claimed_weights must have equal length")
         if len(weights) < 2:
             raise ValidationError("an attribution case needs at least 2 features")
-        if any(not isinstance(f, str) or not f for f in self.feature_names):
+        if ({*map(type, names)} != _STR or "" in names) and \
+                any(not isinstance(f, str) or not f for f in names):
             raise ValidationError("feature_names must be non-empty strings")
-        if any(w < 0 for w in weights):
+        if min(weights) < 0:
             raise ValidationError("claimed_weights must be >= 0")
-        if any(a < b for a, b in zip(weights, weights[1:])):
+        if not all(map(ge, weights, weights[1:])):
             raise ValidationError("claimed_weights must be non-increasing")
         decision = self.decision_value
         if type(decision) is not float or decision - decision != 0.0:
             self.decision_value = _require_real("decision_value", decision)
-        if len(set(self.feature_names)) != len(self.feature_names):
+        if len(set(names)) != len(names):
             raise ValidationError("feature_names must be distinct")
 
 
@@ -228,9 +218,6 @@ class RequestPair:
     decision_b: str
 
     def __post_init__(self) -> None:
-        a, b, c, d = self.text_a, self.text_b, self.decision_a, self.decision_b
-        if type(a) is type(b) is type(c) is type(d) is str and a and b and c and d:
-            return
         for name in ("text_a", "text_b", "decision_a", "decision_b"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:

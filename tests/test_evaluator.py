@@ -316,8 +316,9 @@ class CountingProbe:
 def explanation_inputs(draw):
     """A 5-feature linear probe (tied and zero weights included) and cases over
     a few name tuples, with weights from a small set so that ties are common,
-    0.0 against -0.0 among them. Now and then the baseline lacks f4, so a case
-    naming it raises."""
+    0.0 against -0.0 among them. Now and then a built case's weights are
+    reassigned in any order, and the baseline lacks f4, so a case naming it
+    raises."""
     probe_weights = draw(st.lists(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.3)),
                                   min_size=5, max_size=5))
     probe = LinearProbe(dict(zip(FIVE, probe_weights)), bias=0.1)
@@ -331,6 +332,8 @@ def explanation_inputs(draw):
         weights = draw(st.lists(st.sampled_from((0.0, -0.0, 0.1, 0.5, 0.9)),
                                 min_size=len(names), max_size=len(names)))
         cases.append(AttributionCase(names, sorted(weights, reverse=True), 0.5))
+        if draw(st.integers(0, 3)) == 0:
+            cases[-1].claimed_weights = tuple(weights)
     missing = draw(st.sampled_from((None, None, None, "f4")))
     baseline = {name: 0.0 for name in FIVE if name != missing}
     return cases, ProbeContext(probe, ONES, baseline)
@@ -359,6 +362,29 @@ def test_probe_runs_once_per_distinct_names_and_ranks():
     # len(names) perturbations, the unperturbed call and the determinism re-check
     assert probe.calls == (3 + 2) + (3 + 2) + (2 + 2)
     assert reference.exact(result) == reference.exact(reference.explanation(cases, context, CFG))
+
+
+def test_cases_with_reordered_weights_do_not_share_a_memo_entry():
+    first = AttributionCase(("f0", "f1", "f2"), (0.9, 0.5, 0.1), 0.5)
+    second = AttributionCase(("f0", "f1", "f2"), (0.9, 0.5, 0.1), 0.5)
+    second.claimed_weights = (0.1, 0.5, 0.9)  # a built case is mutable
+    probe = CountingProbe(LinearProbe({"f0": 0.4, "f1": 0.3, "f2": 0.2}, bias=0.05))
+    context = ProbeContext(probe, ONES, ZEROS)
+    result = evaluator._evaluate_explanation_dimension([first, second], context, CFG)
+    assert probe.calls == 2 * (3 + 2)
+    assert reference.exact(result) == reference.exact(reference.explanation([first, second],
+                                                                            context, CFG))
+
+
+def test_memo_keys_leave_no_memory_behind():
+    # A dropped key must not be kept on an interpreter free list: 3,000 cases
+    # of one key would otherwise leave up to 2,000 blocks allocated.
+    cases = [AttributionCase(("f0", "f1", "f2"), (0.9, 0.5, 0.1), 0.5) for _ in range(3000)]
+    context = ProbeContext(LinearProbe({"f0": 0.4, "f1": 0.3, "f2": 0.2}, bias=0.05), ONES, ZEROS)
+    evaluator._evaluate_explanation_dimension(cases[:10], context, CFG)
+    before = sys.getallocatedblocks()
+    evaluator._evaluate_explanation_dimension(cases, context, CFG)
+    assert sys.getallocatedblocks() - before < 500
 
 
 def _fm5_lines(copies: int) -> list[str]:

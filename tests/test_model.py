@@ -322,9 +322,10 @@ STATE_VALUES = (
 NAME_LISTS = ('["a","b"]', '["a","b","c"]', '["a","b","c","d"]', '["a","a"]', '["a","b","a"]',
               '["b","a","b"]', '["a",""]', '["a","b",""]', '["a",1]', '["a"]', "[]", '"ab"', "null",
               "{}")
-WEIGHT_LISTS = ("[0.6,0.4]", "[1,0]", "[0.5,0.5,0.0]", "[0.4,0.6]", "[0.6]", "[0.6,-0.0]",
-                "[0.5,-0.0,0.0]", "[0.9,0.5,0.5,0.1]", "[1.7976931348623157e308,1]", "[0.6,NaN]",
-                "[0.6,NaN,0.1]", "[1e999,1]", "[true,false]", "[0.6,null]", "null", '"ab"', "{}")
+WEIGHT_LISTS = ("[0.6,0.4]", "[1,0]", "[0.5,0.5,0.0]", "[0.4,0.6]", "[-0.1,0.6]", "[0.9,0.1,0.5]",
+                "[0.6]", "[0.6,-0.0]", "[0.5,-0.0,0.0]", "[0.9,0.5,0.5,0.1]",
+                "[1.7976931348623157e308,1]", "[0.6,NaN]", "[0.6,NaN,0.1]", "[1e999,1]",
+                "[true,false]", "[0.6,null]", "null", '"ab"', "{}")
 
 FIELD_VALUES = {
     "step_index": TICKS,
