@@ -80,15 +80,7 @@ def report_document(
     so the document is byte-stable across runs."""
     return {
         "config": config.to_payload(),
-        "dimensions": {
-            dim.value: {
-                "score": result.score,
-                "confidence": result.confidence,
-                "passed": result.passed,
-                "metadata": result.metadata,
-            }
-            for dim, result in report.per_dimension.items()
-        },
+        "dimensions": {dim.value: result._asdict() for dim, result in report.per_dimension.items()},
         "overall_score": report.overall_score,
         "passed": report.passed,
         "record_counts": diagnostics.record_counts,

@@ -34,14 +34,10 @@ class DistributionSnapshot(NamedTuple):
     mean_quality: float | None
 
     def metadata(self) -> dict[str, Any]:
-        return {
-            "entropy": self.entropy,
-            "diversity": self.diversity,
-            "repeat_rate": self.repeat_rate,
-            "window_fill": self.window_fill,
-            "distinct_categories": self.distinct_categories,
-            "mean_quality": self.mean_quality,
-        }
+        """Every field but the score, in field order."""
+        metadata = self._asdict()
+        del metadata["score"]
+        return metadata
 
 
 def snapshot(events: Sequence[OutputEvent], config: EvalConfig) -> DistributionSnapshot:

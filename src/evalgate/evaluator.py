@@ -134,7 +134,7 @@ class _ToolColumns:
     def __init__(self) -> None:
         self.ticks: MutableSequence[int] = []
         self.latencies: MutableSequence[float] = []
-        self.states = dict.fromkeys(ToolCallState, 0)
+        self.states = {state.value: 0 for state in ToolCallState}
         self.quality_ticks: MutableSequence[int] = []
         self.qualities: MutableSequence[float] = []
 
@@ -186,9 +186,9 @@ class _Windows:
 def _evaluate_cascade_dimension(
     cascade: _Cascade, diagnostics: StreamDiagnostics
 ) -> Outcome | None:
-    """Close the open pipeline; the mean score and the worst pipeline's metadata."""
-    if cascade.pipeline:
-        cascade.close()
+    """Close the open pipeline, which holds at least the last step; the mean
+    score and the worst pipeline's metadata."""
+    cascade.close()
     diagnostics.evaluation_notes.extend(cascade.notes)
     if cascade.worst is None:
         return None
@@ -229,8 +229,7 @@ def _evaluate_tool_dimension(
 ) -> Outcome:
     quality = _quality_series_for_calls(tool.ticks, tool.quality_ticks, tool.qualities)
     tool.quality_ticks = tool.qualities = []  # freed before the calls are bucketed
-    state_counts = {state.value: count for state, count in tool.states.items()}
-    result = evaluate_reliability(tool.ticks, tool.latencies, state_counts, quality, config)
+    result = evaluate_reliability(tool.ticks, tool.latencies, tool.states, quality, config)
     if result.rho_fallback is not None:
         diagnostics.evaluation_notes.append(f"tool: {result.rho_fallback}")
     return result.score, min(1.0, len(tool.ticks) / config.window_size), result.metadata()

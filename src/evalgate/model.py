@@ -241,7 +241,8 @@ RECORD_TYPES: dict[str, type] = {
 
 class MetricResult(NamedTuple):
     """One dimension's score and confidence in [0, 1], its gate verdict and
-    sub-signals; equal to a plain tuple of the same values."""
+    sub-signals; equal to a plain tuple of the same values. The fields, in
+    order, are the keys of the dimension's entry in the report."""
 
     score: float
     confidence: float

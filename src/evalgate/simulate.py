@@ -284,10 +284,6 @@ class Fm5Case(NamedTuple):
     original_values: dict[str, float]
     baseline_values: dict[str, float]
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        return [self.case]
-
 
 def reference_probe() -> LinearProbe:
     """The risk probe all fm5 variants share."""
@@ -331,11 +327,6 @@ def generate_fm5(variant: str, seed: int, noise_scale: float = 0.02) -> Fm5Case:
 SCENARIO_VARIANTS = {"fm1": tuple(FM1_VARIANTS), "fm2": ("",), "fm3": ("",),
                      "fm5": tuple(_FM5_CLAIMED_ORDER)}
 SCENARIOS = tuple(SCENARIO_VARIANTS)
-FM5_VARIANTS = SCENARIO_VARIANTS["fm5"]
-
-
-def default_variant(scenario: str) -> str:
-    return SCENARIO_VARIANTS[scenario][0]
 
 
 def generate(spec: ScenarioSpec) -> list[TraceRecord]:
@@ -355,4 +346,4 @@ def generate(spec: ScenarioSpec) -> list[TraceRecord]:
         return generate_fm2(seed).records
     if scenario == "fm3":
         return generate_fm3(seed)
-    return generate_fm5(variant, seed).records
+    return [generate_fm5(variant, seed).case]

@@ -50,10 +50,9 @@ def _exact_affine_slope(x: Sequence[float], y: Sequence[float]) -> float | None:
     Points exactly on a line correlate at exactly +/-1; sqrt rounding in the
     general path would smudge that by an ulp, so those cases are answered
     directly. Detection is conservative: near-affine data falls through.
+    x must hold at least two distinct values.
     """
-    j = next((k for k in range(1, len(x)) if x[k] != x[0]), None)
-    if j is None:
-        return None
+    j = next(k for k in range(1, len(x)) if x[k] != x[0])
     a = (y[j] - y[0]) / (x[j] - x[0])
     if a == 0.0 or not math.isfinite(a):
         return None
@@ -80,7 +79,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         vy = math.fsum((b - my) ** 2 for b in y)
     except OverflowError:
         raise UndefinedStatisticError("correlation overflows a float") from None
-    if vx == 0.0 or vy == 0.0:
+    # A constant series by equality too: [0.7] * 3 has a variance of about 1e-33.
+    if vx == 0.0 or vy == 0.0 or x.count(x[0]) == n or y.count(y[0]) == n:
         return 0.0
     slope = _exact_affine_slope(x, y)
     if slope is None:

@@ -27,13 +27,7 @@ from evalgate import cli
 from evalgate.cli import ConfigError, load_config, main
 from evalgate.evaluator import evaluate_stream
 from evalgate.model import EvalConfig, StepResult, serialize_trace_record
-from evalgate.simulate import (
-    FM1_VARIANTS,
-    FM5_VARIANTS,
-    ScenarioSpec,
-    default_variant,
-    generate,
-)
+from evalgate.simulate import FM1_VARIANTS, SCENARIO_VARIANTS, ScenarioSpec, generate
 
 
 def run_cli(*argv: str) -> int:
@@ -615,6 +609,27 @@ def test_latencies_near_the_float_maximum_fall_back_to_rho_zero(tmp_path, latenc
     assert document["evaluation_notes"] == ["tool: correlation overflows a float"]
 
 
+def test_equal_latencies_give_rho_zero_when_their_mean_does_not_round_trip(tmp_path):
+    # Every latency is 0.7, but fsum([0.7] * 3) / 3 != 0.7: the p95 series'
+    # computed variance is about 1e-33, not 0.
+    calls = [
+        '{"type":"tool_call","tool_name":"svc","state":"SUCCESS","latency_ms":0.7,'
+        f'"timestamp":{tick}}}\n'
+        for tick in (0, 500, 1000) for _ in range(5)
+    ]
+    outputs = [
+        f'{{"type":"output","category":"c","session_id":"s","timestamp":{tick},'
+        f'"quality_signal":{quality}}}\n'
+        for tick, quality in ((0, 0.9), (500, 0.5), (1000, 0.53))
+    ]
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("".join(calls + outputs))
+    code, document = evaluate_to(trace, tmp_path / "r.json")
+    assert code == 1  # one category: DISTRIBUTION fails
+    tool = document["dimensions"]["TOOL"]["metadata"]
+    assert (tool["rho_lq"], tool["bucket_count"]) == (0.0, 10)
+
+
 @pytest.mark.parametrize("scenarios, weights", [
     ((("fm1", "healthy"), ("fm3", None)), {"cascade": 1.7e308, "distribution": 1.7e308}),
     ((("fm2", None), ("fm3", None)), {"tool": 1e308, "distribution": 1e308}),
@@ -803,7 +818,7 @@ def test_a_broken_stdout_leaves_nothing_for_interpreter_exit_to_flush():
 
 SIMULATE_SPECS = (
     [("fm1", variant) for variant in FM1_VARIANTS] + [("fm2", ""), ("fm3", "")]
-    + [("fm5", variant) for variant in FM5_VARIANTS]
+    + [("fm5", variant) for variant in SCENARIO_VARIANTS["fm5"]]
 )
 
 
@@ -812,7 +827,7 @@ SIMULATE_SPECS = (
 def test_simulate_writes_the_same_lines_to_a_file_stdout_and_a_fifo(
     tmp_path, capsys, scenario, variant, seed
 ):
-    records = generate(ScenarioSpec(scenario, seed, variant or default_variant(scenario)))
+    records = generate(ScenarioSpec(scenario, seed, variant or SCENARIO_VARIANTS[scenario][0]))
     expected = "".join(serialize_trace_record(r) + "\n" for r in records)
     argv = ["simulate", "--scenario", scenario, "--seed", str(seed),
             *(["--variant", variant] if variant else [])]
@@ -928,7 +943,7 @@ def test_report_mode_respects_the_umask(tmp_path):
 
 
 def _wire_lines(scenario: str, variant: str | None = None) -> list[bytes]:
-    records = generate(ScenarioSpec(scenario, seed=42, variant=variant or default_variant(scenario)))
+    records = generate(ScenarioSpec(scenario, 42, variant or SCENARIO_VARIANTS[scenario][0]))
     return [serialize_trace_record(r).encode() for r in records[:40]]
 
 

@@ -34,9 +34,10 @@ def test_every_runtime_import_is_stdlib_or_evalgate():
 
 
 # The extension modules from lib-dynload that importing the CLI loads into an
-# interpreter started without site, as measured on CPython 3.11. Each one is
-# a shared object mapped into every run, so each adds to every run's set-up
-# RSS; array is not among them, because TOOL loads it with its first record.
+# interpreter started without site, as measured on CPython 3.11. array is not
+# among them, because TOOL loads it with its first record: importing it with
+# the evaluator raised the benchmark's `semantic` median CLI peak from 22.426
+# to 22.562 MiB (+0.136 MiB; 16 alternating runs, 2 cores, Python 3.11.7).
 CLI_EXTENSION_MODULES = {
     "_bisect", "_blake2", "_hashlib", "_json", "_opcode", "_random", "_sha512", "_typing",
     "math",

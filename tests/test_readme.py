@@ -1,6 +1,6 @@
-"""README's Configuration table and Scenarios list against the code they
-document: the config-key map with EvalConfig()'s defaults, and the scenario
-table's variants."""
+"""README's Configuration table, Scenarios list and stated limits against the
+code they document: the config-key map with EvalConfig()'s defaults, the
+scenario table's variants, the echo, memo and tick bounds, and the public API."""
 
 from __future__ import annotations
 
@@ -8,10 +8,14 @@ import json
 import re
 from pathlib import Path
 
-from evalgate.model import CONFIG_FIELDS, EvalConfig
+import evalgate
+from evalgate.consistency import _MEMO_ENTRIES
+from evalgate.model import _ECHO_CHARS, CONFIG_FIELDS, MAX_TICK, EvalConfig
 from evalgate.simulate import SCENARIO_VARIANTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+# The README with every run of whitespace as one space, so a sentence may wrap.
+PROSE = " ".join(README.split())
 
 
 def section(heading: str) -> str:
@@ -52,3 +56,19 @@ def test_the_scenarios_list_names_every_scenario_and_its_variants():
         listed[scenario.strip("`")] = tuple(re.findall(r"`(\w+)`", text.partition("variants")[2]))
     assert listed == {scenario: tuple(v for v in variants if v)
                       for scenario, variants in SCENARIO_VARIANTS.items()}
+
+
+def test_the_stated_echo_memo_and_tick_limits_are_the_codes():
+    assert re.findall(r"echoes at most (\d+) characters", PROSE) == [str(_ECHO_CHARS)]
+    assert [2 ** int(p) for p in re.findall(r"2\^(\d+) entries", PROSE)] == [_MEMO_ENTRIES] * 2
+    ((low, high),) = re.findall(r"ticks \(`timestamp`\) are integers in \[-2\^(\d+), 2\^(\d+)\]", PROSE)
+    assert 2 ** int(low) == 2 ** int(high) == MAX_TICK
+
+
+def test_the_stated_public_api_is_evalgate_all():
+    library = " ".join(section("Library use").split())
+    (count,) = re.findall(r"These (\w+) names are the package's public API", library)
+    assert {"four": 4, "five": 5, "six": 6}.get(count) == len(evalgate.__all__)
+    assert all(re.search(rf"\b{name}\b", library) for name in evalgate.__all__)
+    imported = re.findall(r"^from evalgate import (.+)$", README, re.M)
+    assert {name.strip() for line in imported for name in line.split(",")} <= set(evalgate.__all__)

@@ -11,8 +11,8 @@ from evalgate.simulate import (
     FM1_VARIANTS,
     FM2_ACCURACY,
     FM3_WINDOW_QUALITY,
+    SCENARIO_VARIANTS,
     ScenarioSpec,
-    default_variant,
     generate,
     generate_fm1,
     generate_fm2,
@@ -124,9 +124,8 @@ def test_fm5_rejects_unknown_variant():
 def test_scenario_spec_validation_and_defaults():
     with pytest.raises(ValueError, match="unknown scenario 'fm9'"):
         generate(ScenarioSpec("fm9"))
-    assert default_variant("fm1") == "healthy"
-    assert default_variant("fm5") == "causal"
-    assert default_variant("fm2") == ""
+    assert [SCENARIO_VARIANTS[s][0] for s in ("fm1", "fm5", "fm2")] == ["healthy", "causal", ""]
+    assert generate(ScenarioSpec("fm5")) == generate(ScenarioSpec("fm5", variant="causal"))
     with pytest.raises(ValueError, match="^scenario fm3 takes no variant$"):
         generate(ScenarioSpec("fm3", variant="wide"))
 

@@ -116,7 +116,13 @@ def test_cosine_rejects_zero_vector_and_mismatch():
 
 
 def test_zero_variance_reads_as_no_correlation():
-    assert pearson([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+    for x, y in [
+        ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]),
+        # fsum([0.7] * 3) / 3 != 0.7, so the computed variance is about 1e-33, not 0.
+        ([0.7] * 3, [0.9 - q for q in (0.9, 0.5, 0.53)]),
+        ([0.0, 1e-200], [1.0, 2.0]),  # not constant, but the variance underflows to 0
+    ]:
+        assert (pearson(x, y), pearson(y, x)) == (0.0, 0.0)
     assert spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
 
 
