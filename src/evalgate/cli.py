@@ -3,10 +3,11 @@ scenario simulator.
 
 Exit codes: 0 when the gate passes, 1 when it fails, 2 on any error (input,
 configuration, output, or an unexpected exception). The report holds no
-wall-clock value, so it is the same for the same input and config bytes. It is
-encoded straight into its output, never held whole in memory: a temp file then
-a rename, so exit 2 leaves none, or a FIFO, device or stdout, written in place,
-which may get part of one. Timing goes to stderr only.
+wall-clock value, so it is the same for the same input and config bytes. Its
+text, json.dump's with indent=2, is encoded into its output a part at a time,
+never held whole in memory: a temp file then a rename, so exit 2 leaves none,
+or a FIFO, device or stdout, written in place, which may get part of one.
+Timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -89,6 +90,51 @@ def report_document(
     }
 
 
+_FLAT_MEMBERS = 64  # the most members of a container encoded in one call
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dump(document: Any, write: Callable[[str], object]) -> None:
+    """Write json.dump(document, handle, indent=2)'s text and a newline, a part at a time.
+
+    A container of at most _FLAT_MEMBERS members, none of them a container, is
+    one call of json's C encoder, whose item separator carries the newline and
+    the indentation (an encoded string never holds a raw newline); any other
+    container is written member by member.
+    """
+    encoders: list[Callable[[Any, int], list[str]]] = []  # one per indentation level
+
+    def encode(value: Any, level: int) -> str:
+        while len(encoders) <= level:
+            encoders.append(json.encoder.c_make_encoder(  # type: ignore[attr-defined]
+                None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                None, ": ", ",\n" + "  " * len(encoders), False, False, True))
+        return encoders[level](value, 0)[0]
+
+    def dump(value: Any, level: int) -> None:
+        is_dict = isinstance(value, dict)
+        if not is_dict and not isinstance(value, (list, tuple)):
+            write(encode(value, level))
+            return
+        (opening, closing), members = ("{}", value.values()) if is_dict else ("[]", value)
+        inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+        if not value:
+            write(opening + closing)
+        elif len(value) <= _FLAT_MEMBERS and {*map(type, members)} <= _SCALARS:
+            write(opening + inner + encode(value, level + 1)[1:-1] + outer + closing)
+        else:
+            separator = opening + inner
+            for key, member in value.items() if is_dict else enumerate(value):
+                # '{"key": null}' less its brace and 'null}' is the key as json writes it
+                write(separator + encode({key: None}, 0)[1:-5] if is_dict else separator)
+                dump(member, level + 1)
+                separator = "," + inner
+            write(outer + closing)
+
+    dump(document, 0)
+    write("\n")
+
+
 def _write_atomic(path: str | None, emit: Callable[[TextIO], object]) -> None:
     """Call `emit` on the handle that `path` (stdout when None) names."""
     if path is None:
@@ -140,12 +186,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     document = report_document(report, config, diagnostics)
-
-    def emit(handle: TextIO) -> None:
-        json.dump(document, handle, indent=2)  # json.dumps's encoder, written chunk by chunk
-        handle.write("\n")
-
-    _write_atomic(args.output, emit)
+    _write_atomic(args.output, lambda handle: _dump(document, handle.write))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     for dim, result in report.per_dimension.items():

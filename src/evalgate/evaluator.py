@@ -3,9 +3,10 @@
 Records route by type: steps to CASCADE, tool calls to TOOL, output events
 to DISTRIBUTION (and, when they carry a quality signal, into TOOL's quality
 series), attribution cases to EXPLANATION, request pairs to CONSISTENCY.
-The record stream is consumed once, and each step, tool call and output
-event is folded into its dimension's state as it arrives, so none of them is
-kept: CASCADE holds only the open pipeline and folds each closed one into a
+The record stream is consumed once (evaluate_stream decodes, parses, counts
+and folds each line in one loop), and each step, tool call and output event
+is folded into its dimension's state as it arrives, so none of them is kept:
+CASCADE holds only the open pipeline and folds each closed one into a
 running mean and worst result; TOOL keeps 16 B per call (tick and latency)
 and per quality-carrying event (tick and quality) while ticks fit int64, and
 the calls per state; DISTRIBUTION keeps the last window_size events and one
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, MutableSequence, Sequence
+from collections.abc import Callable, Iterable, MutableSequence, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -165,12 +166,13 @@ class _ToolColumns:
 
 class _Windows:
     """DISTRIBUTION state: the last window_size output events, how many have
-    been seen, and a snapshot after every window_size-th one."""
+    been seen, a snapshot after every window_size-th one; and TOOL's columns."""
 
-    __slots__ = ("config", "window", "seen", "snapshots")
+    __slots__ = ("config", "tool", "window", "seen", "snapshots")
 
-    def __init__(self, config: EvalConfig) -> None:
+    def __init__(self, config: EvalConfig, tool: _ToolColumns) -> None:
         self.config = config
+        self.tool = tool
         # deque's maxlen must fit a C ssize_t; no stream fills a larger window.
         self.window: deque[OutputEvent] = deque(maxlen=min(config.window_size, sys.maxsize))
         self.seen = 0
@@ -181,6 +183,8 @@ class _Windows:
         self.seen += 1
         if self.seen % self.config.window_size == 0:
             self.snapshots.append(snapshot(self.window, self.config))
+        if event.quality_signal is not None:
+            self.tool.observe_quality(event)
 
 
 def _evaluate_cascade_dimension(
@@ -303,6 +307,65 @@ def _evaluate_consistency_dimension(
     return result.score, 1.0, result.metadata()
 
 
+def _folds(
+    config: EvalConfig | None, probe_context: ProbeContext | None,
+    embedding_provider: EmbeddingProvider | None, diagnostics: StreamDiagnostics,
+) -> tuple[dict[type, Callable[[Any], None]], dict[type, int], Callable[[], EvalReport]]:
+    """One evaluation: the fold of each record type, the records seen per type,
+    and the finish step, which raises EvaluationError when nothing is evaluable."""
+    config = config or EvalConfig()
+    provider = embedding_provider or HashEmbeddingProvider()
+    cascade, tool = _Cascade(config), _ToolColumns()
+    windows = _Windows(config, tool)
+    cases: list[AttributionCase] = []
+    pairs: list[RequestPair] = []
+
+    # Per record type, in report order: what its records feed, the dimension
+    # they are scored in, and that dimension's finish step with its arguments.
+    table = (
+        (StepResult, cascade.observe, Dimension.CASCADE,
+         _evaluate_cascade_dimension, (cascade, diagnostics)),
+        (ToolCallRecord, tool.observe_call, Dimension.TOOL,
+         _evaluate_tool_dimension, (tool, config, diagnostics)),
+        (OutputEvent, windows.observe, Dimension.DISTRIBUTION,
+         _evaluate_distribution_dimension, (windows,)),
+        (AttributionCase, cases.append, Dimension.EXPLANATION,
+         _evaluate_explanation_dimension, (cases, probe_context, config)),
+        (RequestPair, pairs.append, Dimension.CONSISTENCY,
+         _evaluate_consistency_dimension, (pairs, provider, config)),
+    )
+    routes: dict[type, Callable[[Any], None]] = {kind: route for kind, route, *_ in table}
+    counts = dict.fromkeys(routes, 0)
+
+    def finish() -> EvalReport:
+        diagnostics.record_counts = {name: counts[cls] for name, cls in RECORD_TYPES.items()}
+        per_dimension: dict[Dimension, MetricResult] = {}
+        for kind, _, dimension, finish_dimension, args in table:
+            try:
+                outcome = finish_dimension(*args) if counts[kind] else None
+            except UndefinedStatisticError as exc:
+                diagnostics.evaluation_notes.append(f"{dimension.value.lower()}: {exc}")
+                continue
+            if outcome is not None:
+                score, confidence, metadata = outcome
+                passed = score >= config.threshold(dimension)
+                per_dimension[dimension] = MetricResult(score, confidence, passed, metadata)
+
+        if not per_dimension:
+            errors = diagnostics.parse_errors
+            if errors and not any(diagnostics.record_counts.values()):
+                raise EvaluationError(
+                    f"no evaluable records: all {len(errors)} line(s) failed to parse "
+                    f"(first: {errors[0]['message']})"
+                )
+            raise EvaluationError("no evaluable records")
+
+        overall_score, passed = aggregate(per_dimension, config)
+        return EvalReport(per_dimension=per_dimension, overall_score=overall_score, passed=passed)
+
+    return routes, counts, finish
+
+
 def evaluate_records(
     records: Iterable[TraceRecord],
     config: EvalConfig | None = None,
@@ -312,37 +375,11 @@ def evaluate_records(
 ) -> EvalReport:
     """Evaluate parsed records and return the report.
 
-    Raises EvaluationError when nothing in the stream is evaluable.
+    Raises TypeError for an item that is not a trace record, and
+    EvaluationError when nothing in the stream is evaluable.
     """
-    config = config or EvalConfig()
     diagnostics = diagnostics if diagnostics is not None else StreamDiagnostics()
-    provider = embedding_provider or HashEmbeddingProvider()
-
-    cascade, tool, windows = _Cascade(config), _ToolColumns(), _Windows(config)
-    cases: list[AttributionCase] = []
-    pairs: list[RequestPair] = []
-
-    def observe_output(event: OutputEvent) -> None:
-        windows.observe(event)
-        if event.quality_signal is not None:
-            tool.observe_quality(event)
-
-    # Per record type, in report order: what its records feed, the dimension
-    # they are scored in, and that dimension's finish step with its arguments.
-    table = (
-        (StepResult, cascade.observe, Dimension.CASCADE,
-         _evaluate_cascade_dimension, (cascade, diagnostics)),
-        (ToolCallRecord, tool.observe_call, Dimension.TOOL,
-         _evaluate_tool_dimension, (tool, config, diagnostics)),
-        (OutputEvent, observe_output, Dimension.DISTRIBUTION,
-         _evaluate_distribution_dimension, (windows,)),
-        (AttributionCase, cases.append, Dimension.EXPLANATION,
-         _evaluate_explanation_dimension, (cases, probe_context, config)),
-        (RequestPair, pairs.append, Dimension.CONSISTENCY,
-         _evaluate_consistency_dimension, (pairs, provider, config)),
-    )
-    routes: dict[type, Callable[[Any], None]] = {kind: route for kind, route, *_ in table}
-    counts = dict.fromkeys(routes, 0)
+    routes, counts, finish = _folds(config, probe_context, embedding_provider, diagnostics)
     for record in records:
         kind = type(record)
         route = routes.get(kind)
@@ -350,31 +387,7 @@ def evaluate_records(
             raise TypeError(f"not a trace record: {kind.__name__}")
         counts[kind] += 1
         route(record)
-    diagnostics.record_counts = {name: counts[cls] for name, cls in RECORD_TYPES.items()}
-
-    per_dimension: dict[Dimension, MetricResult] = {}
-    for kind, _, dimension, finish, args in table:
-        try:
-            outcome = finish(*args) if counts[kind] else None
-        except UndefinedStatisticError as exc:
-            diagnostics.evaluation_notes.append(f"{dimension.value.lower()}: {exc}")
-            continue
-        if outcome is not None:
-            score, confidence, metadata = outcome
-            passed = score >= config.threshold(dimension)
-            per_dimension[dimension] = MetricResult(score, confidence, passed, metadata)
-
-    if not per_dimension:
-        errors = diagnostics.parse_errors
-        if errors and not any(diagnostics.record_counts.values()):
-            raise EvaluationError(
-                f"no evaluable records: all {len(errors)} line(s) failed to parse "
-                f"(first: {errors[0]['message']})"
-            )
-        raise EvaluationError("no evaluable records")
-
-    overall_score, passed = aggregate(per_dimension, config)
-    return EvalReport(per_dimension=per_dimension, overall_score=overall_score, passed=passed)
+    return finish()
 
 
 def evaluate_stream(
@@ -390,23 +403,26 @@ def evaluate_stream(
     a stream with records but none parseable raises EvaluationError.
     """
     diagnostics = StreamDiagnostics()
-
-    def parsed() -> Iterator[TraceRecord]:
-        for number, line in enumerate(lines, start=1):
-            try:
-                if isinstance(line, bytes):
-                    try:
-                        line = line.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise TraceParseError(f"invalid UTF-8: {exc.reason}", number) from None
-                stripped = line.strip()
-                if stripped:
-                    yield parse_trace_record(stripped, number)
-            except (TraceParseError, ValidationError) as exc:
-                diagnostics.parse_errors.append({"line": number, "message": str(exc)})
-
-    report = evaluate_records(parsed(), config, probe_context, embedding_provider, diagnostics)
-    return report, diagnostics
+    errors = diagnostics.parse_errors
+    routes, counts, finish = _folds(config, probe_context, embedding_provider, diagnostics)
+    for number, line in enumerate(lines, start=1):
+        try:
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TraceParseError(f"invalid UTF-8: {exc.reason}", number) from None
+            line = line.strip()
+            if not line:
+                continue
+            record = parse_trace_record(line, number)
+        except (TraceParseError, ValidationError) as exc:
+            errors.append({"line": number, "message": str(exc)})
+            continue
+        kind = type(record)
+        counts[kind] += 1
+        routes[kind](record)
+    return finish(), diagnostics
 
 
 def aggregate(results: dict[Dimension, MetricResult], config: EvalConfig) -> tuple[float, bool]:

@@ -2,12 +2,13 @@
 
 Trace records arrive as a line-delimited JSON stream, one record per line,
 discriminated by a ``type`` field. The five trace records are slotted value
-objects: they check and normalise their fields on construction, the engine
-never mutates them, and they are not hashable. The configuration is a frozen
-dataclass; a metric result and a report are NamedTuples, immutable, equal to
-a plain tuple of their values and not checked again. Timestamps are integer
-ticks from the trace. No wall-clock value sits in a metric result or a
-report, so a replay gives an equal report.
+objects: each checks and normalises its fields, taken in declaration order,
+in its own ``__init__``; the engine never mutates them, and they are not
+hashable. The configuration is a frozen dataclass; a metric result and a
+report are NamedTuples, immutable, equal to a plain tuple of their values and
+not checked again. Timestamps are integer ticks from the trace. No
+wall-clock value sits in a metric result or a report, so a replay gives an
+equal report.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ _ECHO_CHARS = 100  # an error text echoes at most this many characters of a valu
 
 
 def _require_tick(value: Any) -> None:
-    if type(value) is int and -MAX_TICK <= value <= MAX_TICK:
-        return
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError("timestamp must be an integer tick")
     if abs(value) > MAX_TICK:
@@ -99,14 +98,14 @@ def _echo(value: Any) -> str:
     return text if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]}...[{len(text)} characters]"
 
 
-# The five records below check every field in __post_init__. Each check of a
-# number, or of a list of numbers or of names, starts with an exact-type test
-# that accepts a subset of what the general check accepts; anything else takes
-# the general check, which gives the error text. A number is written back only
-# when its value changes type.
+# The five records below check every field in their own __init__, one frame
+# per record. Each check of a number, or of a list of numbers or of names,
+# starts with an exact-type test that accepts a subset of what the general
+# check accepts; anything else takes the general check, which gives the error
+# text. A number is stored as the float that check returns.
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class StepResult:
     """One pipeline step with its self-reported confidence."""
 
@@ -114,19 +113,19 @@ class StepResult:
     step_name: str
     confidence: float
 
-    def __post_init__(self) -> None:
-        if isinstance(self.step_index, bool) or not isinstance(self.step_index, int):
+    def __init__(self, step_index: int, step_name: str, confidence: float):
+        if type(step_index) is bool or not isinstance(step_index, int):
             raise ValidationError("step_index must be an integer")
-        if self.step_index < 1:
-            raise ValidationError(f"step_index must be >= 1, got {_echo(self.step_index)}")
-        if not isinstance(self.step_name, str):
+        if step_index < 1:
+            raise ValidationError(f"step_index must be >= 1, got {_echo(step_index)}")
+        if not isinstance(step_name, str):
             raise ValidationError("step_name must be a string")
-        confidence = self.confidence
         if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
-            self.confidence = _require_unit("confidence", confidence)
+            confidence = _require_unit("confidence", confidence)
+        self.step_index, self.step_name, self.confidence = step_index, step_name, confidence
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class ToolCallRecord:
     """One tool invocation outcome. PARTIAL means schema-valid but incomplete."""
 
@@ -135,25 +134,25 @@ class ToolCallRecord:
     latency_ms: float
     timestamp: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, tool_name: str, state: ToolCallState, latency_ms: float, timestamp: int):
         try:
-            self.state = _STATES[self.state]
+            self.state = _STATES[state]
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValidationError(
-                f"state must be one of {[s.value for s in ToolCallState]}, got {_echo(self.state)}"
+                f"state must be one of {[s.value for s in ToolCallState]}, got {_echo(state)}"
             ) from None
-        if not isinstance(self.tool_name, str):
+        if not isinstance(tool_name, str):
             raise ValidationError("tool_name must be a string")
-        latency = self.latency_ms
-        if type(latency) is not float or not 0.0 <= latency <= _FLOAT_MAX:
-            latency = _require_real("latency_ms", latency)
-            if latency < 0:
-                raise ValidationError(f"latency_ms must be >= 0, got {latency}")
-            self.latency_ms = latency
-        _require_tick(self.timestamp)
+        if type(latency_ms) is not float or not 0.0 <= latency_ms <= _FLOAT_MAX:
+            latency_ms = _require_real("latency_ms", latency_ms)
+            if latency_ms < 0:
+                raise ValidationError(f"latency_ms must be >= 0, got {latency_ms}")
+        if type(timestamp) is not int or not -MAX_TICK <= timestamp <= MAX_TICK:
+            _require_tick(timestamp)
+        self.tool_name, self.latency_ms, self.timestamp = tool_name, latency_ms, timestamp
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class OutputEvent:
     """One categorized output, optionally tagged with an external quality signal."""
 
@@ -162,18 +161,22 @@ class OutputEvent:
     timestamp: int
     quality_signal: float | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.category, str) or not self.category:
+    def __init__(self, category: str, session_id: str, timestamp: int,
+                 quality_signal: float | None = None):
+        if not isinstance(category, str) or not category:
             raise ValidationError("category must be a non-empty string")
-        if not isinstance(self.session_id, str):
+        if not isinstance(session_id, str):
             raise ValidationError("session_id must be a string")
-        _require_tick(self.timestamp)
-        quality = self.quality_signal
-        if quality is not None and (type(quality) is not float or not 0.0 <= quality <= 1.0):
-            self.quality_signal = _require_unit("quality_signal", quality)
+        if type(timestamp) is not int or not -MAX_TICK <= timestamp <= MAX_TICK:
+            _require_tick(timestamp)
+        if quality_signal is not None and (
+                type(quality_signal) is not float or not 0.0 <= quality_signal <= 1.0):
+            quality_signal = _require_unit("quality_signal", quality_signal)
+        self.category, self.session_id, self.timestamp = category, session_id, timestamp
+        self.quality_signal = quality_signal
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class AttributionCase:
     """A decision's claimed attribution over distinct features, ranked by
     descending weight."""
@@ -182,14 +185,15 @@ class AttributionCase:
     claimed_weights: tuple[float, ...]
     decision_value: float
 
-    def __post_init__(self) -> None:
-        names, weights = self.feature_names, self.claimed_weights
+    def __init__(self, feature_names: tuple[str, ...], claimed_weights: tuple[float, ...],
+                 decision_value: float):
+        names, weights = feature_names, claimed_weights
         if not isinstance(names, (list, tuple)) or not isinstance(weights, (list, tuple)):
             raise ValidationError("feature_names and claimed_weights must be lists")
-        self.feature_names = names = tuple(names)
+        names = tuple(names)
         if {*map(type, weights)} != _FLOAT or not all(map(math.isfinite, weights)):
             weights = (_require_real("claimed_weights", w) for w in weights)
-        self.claimed_weights = weights = tuple(weights)
+        weights = tuple(weights)
         if len(names) != len(weights):
             raise ValidationError("feature_names and claimed_weights must have equal length")
         if len(weights) < 2:
@@ -201,14 +205,15 @@ class AttributionCase:
             raise ValidationError("claimed_weights must be >= 0")
         if not all(map(ge, weights, weights[1:])):
             raise ValidationError("claimed_weights must be non-increasing")
-        decision = self.decision_value
-        if type(decision) is not float or decision - decision != 0.0:
-            self.decision_value = _require_real("decision_value", decision)
+        if type(decision_value) is not float or decision_value - decision_value != 0.0:
+            decision_value = _require_real("decision_value", decision_value)
         if len(set(names)) != len(names):
             raise ValidationError("feature_names must be distinct")
+        self.feature_names, self.claimed_weights = names, weights
+        self.decision_value = decision_value
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class RequestPair:
     """Two surface forms of one request, with the decision each received."""
 
@@ -217,11 +222,12 @@ class RequestPair:
     decision_a: str
     decision_b: str
 
-    def __post_init__(self) -> None:
-        for name in ("text_a", "text_b", "decision_a", "decision_b"):
-            value = getattr(self, name)
+    def __init__(self, text_a: str, text_b: str, decision_a: str, decision_b: str):
+        texts = text_a, text_b, decision_a, decision_b
+        for name, value in zip(self.__slots__, texts):  # the slots are the fields, in order
             if not isinstance(value, str) or not value:
                 raise ValidationError(f"{name} must be a non-empty string")
+        self.text_a, self.text_b, self.decision_a, self.decision_b = texts
 
 
 TraceRecord = Union[StepResult, ToolCallRecord, OutputEvent, AttributionCase, RequestPair]
@@ -349,7 +355,8 @@ CONFIG_FIELDS = {f.name.rstrip("_"): f for f in fields(EvalConfig)}
 
 
 # Per wire name: the record class, a getter for its required fields in
-# declaration order, and the names of its optional fields.
+# declaration order, and the names of its optional fields. An optional field
+# absent from a line is read as None, so each must default to None.
 _WIRE_SCHEMA = {
     name: (
         cls,
@@ -358,6 +365,9 @@ _WIRE_SCHEMA = {
     )
     for name, cls in RECORD_TYPES.items()
 }
+if any(f.default is not MISSING and f.default is not None
+       for cls in RECORD_TYPES.values() for f in fields(cls)):
+    raise TypeError("an optional trace record field must default to None")
 _WIRE_NAMES = {cls: name for name, cls in RECORD_TYPES.items()}
 _scan_once = json.JSONDecoder().scan_once
 
@@ -404,7 +414,7 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
         ) from None
     try:
         if optional:
-            return cls(*values, **{name: payload[name] for name in optional if name in payload})
+            return cls(*values, *map(payload.get, optional))
         return cls(*values)
     except ValidationError as exc:
         if line_number is not None:

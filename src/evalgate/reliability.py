@@ -11,7 +11,9 @@ to ordinary monitoring.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import repeat
 from typing import Any, NamedTuple
 
 from .model import EvalConfig, ToolCallRecord, ToolCallState
@@ -67,17 +69,28 @@ def bucket_indices(
     lo: int | None = None,
     hi: int | None = None,
 ) -> list[int]:
-    """Assign each tick to one of ``bucket_count`` equal-width buckets.
+    """Assign each integer tick to one of ``bucket_count`` equal-width buckets.
 
     Bounds default to the ticks' own span; ticks outside explicit bounds
-    clamp to the edge buckets.
+    clamp to the edge buckets. The rule max(0, min(bucket_count - 1,
+    int((t - lo) / width))) never falls as t grows, so each bucket's least
+    tick is found once, by bisection, and a tick's bucket is the number of
+    those at or below it.
     """
     lo = min(timestamps) if lo is None else lo
     hi = max(timestamps) if hi is None else hi
     if hi <= lo:
         return [0] * len(timestamps)
     width = (hi - lo) / bucket_count
-    return [max(0, min(bucket_count - 1, int((t - lo) / width))) for t in timestamps]
+    starts: list[int] = []
+    low = lo  # the rule puts lo in bucket 0 and hi in the last bucket
+    for b in range(1, bucket_count):
+        high = hi
+        while low < high:
+            mid = (low + high) // 2
+            low, high = (mid + 1, high) if int((mid - lo) / width) < b else (low, mid)
+        starts.append(low)
+    return [*map(bisect_right, repeat(starts), timestamps)]
 
 
 def latency_quality_correlation(

@@ -22,9 +22,8 @@ from typing import Any
 from evalgate.cascade import InsufficientTraceError, evaluate_cascade
 from evalgate.explanation import evaluate_explanation
 from evalgate.model import Dimension, EvaluationError, ToolCallState, TraceParseError, ValidationError
-from evalgate.reliability import (LATENCY_BUCKET_COUNT, bucket_indices, count_states,
-                                  detect_silent_degradation, percentile_nearest_rank,
-                                  tool_reliability_score)
+from evalgate.reliability import (LATENCY_BUCKET_COUNT, count_states, detect_silent_degradation,
+                                  percentile_nearest_rank, tool_reliability_score)
 from evalgate.stats import UndefinedStatisticError, normalized_entropy, pearson
 
 
@@ -244,6 +243,18 @@ def cascade(steps: list, config, notes: list[str]):
         return None
     worst = min(results, key=lambda r: r.score)
     return left_to_right([r.score for r in results]) / len(results), 1.0, worst.metadata()
+
+
+def bucket_indices(ticks: list[int], bucket_count: int, lo: int | None = None,
+                   hi: int | None = None) -> list[int]:
+    """Each tick's equal-width bucket over [lo, hi] (the ticks' own span by
+    default), clamped to the edge buckets; all in bucket 0 when hi <= lo."""
+    lo = min(ticks) if lo is None else lo
+    hi = max(ticks) if hi is None else hi
+    if hi <= lo:
+        return [0] * len(ticks)
+    width = (hi - lo) / bucket_count
+    return [max(0, min(bucket_count - 1, int((t - lo) / width))) for t in ticks]
 
 
 def tool(calls: list, events: list, config, notes: list[str]):

@@ -840,11 +840,22 @@ def test_simulate_writes_the_same_lines_to_a_file_stdout_and_a_fifo(
     assert (tmp_path / "t.jsonl").read_text(encoding="utf-8") == expected
 
 
-json_values = st.recursive(
+json_scalars = (
     st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.floats() | st.text()
-    | st.sampled_from([-0.0, 1e308, -1e308, 5e-324, 2**64]),
+    | st.sampled_from([-0.0, 1e308, -1e308, 5e-324, 2**64])
+)
+json_values = st.recursive(
+    json_scalars,
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    # Containers of scalars around the writer's one-call limit of 64 members,
+    # and containers of scalars with an empty container among them.
+    | st.sampled_from([63, 64, 65]).flatmap(
+        lambda n: st.lists(json_scalars, min_size=n, max_size=n)
+        | st.dictionaries(st.text(max_size=6), json_scalars, min_size=n, max_size=n))
+    | st.lists(json_scalars | st.sampled_from([[], {}]), min_size=1, max_size=6)
+    | st.dictionaries(st.text(max_size=6), json_scalars | st.sampled_from([[], {}]),
+                      min_size=1, max_size=6),
     max_leaves=16,
 )
 
@@ -910,6 +921,18 @@ def test_writing_a_report_of_two_megabytes_allocates_a_bounded_amount(tmp_path, 
     finally:
         tracemalloc.stop()
     assert report_path.stat().st_size > 2_000_000
+    assert peak < WRITE_BYTES
+
+    # One list of 200k floats: no container of scalars is too long to write.
+    document = {"values": [i / 7 for i in range(200_000)]}
+    monkeypatch.setattr(cli, "report_document", lambda *_: document)
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report_path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
     assert peak < WRITE_BYTES
 
 

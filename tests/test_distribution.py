@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from evalgate.distribution import snapshot
-from evalgate.evaluator import _evaluate_distribution_dimension, _Windows
+from evalgate.evaluator import _evaluate_distribution_dimension, _ToolColumns, _Windows
 from evalgate.model import EvalConfig, OutputEvent
 from evalgate.stats import normalized_entropy
 
@@ -24,7 +24,7 @@ def event(category: str, ts: int = 0, quality: float | None = None) -> OutputEve
 def distribution_dimension(events: list[OutputEvent], config: EvalConfig):
     """The DISTRIBUTION outcome of these events, folded one at a time as the
     evaluator folds them."""
-    windows = _Windows(config)
+    windows = _Windows(config, _ToolColumns())
     for e in events:
         windows.observe(e)
     return _evaluate_distribution_dimension(windows)

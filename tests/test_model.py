@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
+from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import reference
 from evalgate.model import (
     DIMENSION_KEYS,
+    RECORD_TYPES,
     AttributionCase,
     EvalConfig,
     OutputEvent,
@@ -287,6 +290,27 @@ def test_library_construction_normalises_values():
     assert type(case.claimed_weights) is tuple and case.claimed_weights == (2.0, 1.0)
     assert all(type(w) is float for w in case.claimed_weights)
     assert type(case.decision_value) is float
+    # The same values by keyword, in reverse order, give equal records.
+    for built in (record, case, StepResult(1, "x", 1), OutputEvent("c", "s", 0, 0),
+                  OutputEvent("c", "s", 0), RequestPair("a", "b", "x", "y")):
+        values = [(name, getattr(built, name)) for name in built.__slots__]
+        by_keyword = type(built)(**dict(reversed(values)))
+        assert reference.exact(by_keyword) == reference.exact(built)
+    assert reference.exact(ToolCallRecord(timestamp=0, latency_ms=1, state="PARTIAL",
+                                          tool_name="svc")) == reference.exact(record)
+    assert reference.exact(AttributionCase(decision_value=0, claimed_weights=[2, 1],
+                                           feature_names=["a", "b"])) == reference.exact(case)
+
+
+def test_each_record_takes_its_fields_in_declaration_order_with_their_defaults():
+    for cls in RECORD_TYPES.values():
+        parameters = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in parameters] == [f.name for f in fields(cls)]
+        assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        assert [p.default for p in parameters] == [
+            inspect.Parameter.empty if f.default is MISSING else f.default for f in fields(cls)
+        ]
+    assert [f.name for f in fields(OutputEvent) if f.default is not MISSING] == ["quality_signal"]
 
 
 # --- differential tests of the validators' and the scanner's fast paths --------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalgate.model import EvalConfig, ToolCallRecord, ToolCallState
+import reference
+from evalgate.model import MAX_TICK, EvalConfig, ToolCallRecord, ToolCallState
 from evalgate.reliability import (
     bucket_indices,
     count_states,
@@ -69,6 +72,36 @@ def test_bucket_indices_equal_width():
     ticks = [0, 99, 100, 250, 999]
     assert bucket_indices(ticks, 10) == [0, 0, 1, 2, 9]
     assert bucket_indices([5, 5, 5], 10) == [0, 0, 0]
+
+
+# Where drawn ticks cluster: zero, the int64 edges and the ends of the tick range.
+TICK_CENTRES = [0, 2**63 - 1, 2**63, -2**63, -2**63 - 1, MAX_TICK, -MAX_TICK]
+
+
+@st.composite
+def bucket_inputs(draw):
+    """Ticks near one centre (so a span can be narrower than the bucket count,
+    and several buckets share a least tick) or anywhere in the tick range, in
+    drawn order with runs of equal ticks, and explicit bounds or none."""
+    centre = draw(st.sampled_from(TICK_CENTRES))
+    tick = st.integers(-12, 12).map(lambda k: max(-MAX_TICK, min(MAX_TICK, centre + k)))
+    if draw(st.booleans()):
+        tick |= st.sampled_from(TICK_CENTRES) | st.integers(-MAX_TICK, MAX_TICK)
+    runs = draw(st.lists(st.tuples(tick, st.integers(1, 4)), min_size=1, max_size=12))
+    ticks = [t for t, repeat in runs for _ in range(repeat)]
+    bounds = draw(st.none() | st.tuples(tick, tick))  # hi <= lo among them
+    return ticks, draw(st.integers(1, 40)), bounds
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(inputs=bucket_inputs())
+def test_bucket_indices_match_the_per_tick_rule(inputs):
+    ticks, bucket_count, bounds = inputs
+    lo, hi = bounds or (None, None)
+    expected = reference.bucket_indices(ticks, bucket_count, lo, hi)
+    assert bucket_indices(ticks, bucket_count, lo, hi) == expected
+    if all(-2**63 <= t < 2**63 for t in ticks):  # TOOL's packed tick column
+        assert bucket_indices(array("q", ticks), bucket_count, lo, hi) == expected
 
 
 def test_correlation_constant_latency_is_zero():
