@@ -180,6 +180,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(diagnostics.parse_errors) > STDERR_PARSE_ERRORS:
         more = len(diagnostics.parse_errors) - STDERR_PARSE_ERRORS
         print(f"parse error: ... and {more} more; all are listed in the report", file=sys.stderr)
+    for name, dimension in diagnostics.unscored.items():
+        print(f"warning: {name}: {diagnostics.rejected_counts[name]} line(s) rejected, none "
+              f"accepted; {dimension.value} not scored [parse.type_rejected]", file=sys.stderr)
     if args.strict and diagnostics.parse_errors:
         count = len(diagnostics.parse_errors)
         print(f"error: --strict and {count} line(s) failed to parse", file=sys.stderr)
@@ -248,8 +251,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
     except Exception as exc:  # a defect: still one stderr line and exit 2, never a traceback
-        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        text = f": {exc}" if str(exc) else ""
+        print(f"error: unexpected {type(exc).__name__}{text}", file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -66,6 +66,10 @@ class StreamDiagnostics:
     parse_errors: list[dict[str, Any]] = field(default_factory=list)
     evaluation_notes: list[str] = field(default_factory=list)
     record_counts: dict[str, int] = field(default_factory=dict)
+    # Per wire type: the lines that named it and were rejected, and, for each
+    # type with rejections and no accepted record, the dimension left unscored.
+    rejected_counts: dict[str, int] = field(default_factory=dict)
+    unscored: dict[str, Dimension] = field(default_factory=dict)
 
 
 def _starts_pipeline(pipeline: Sequence[StepResult], step: StepResult) -> bool:
@@ -339,6 +343,9 @@ def _folds(
 
     def finish() -> EvalReport:
         diagnostics.record_counts = {name: counts[cls] for name, cls in RECORD_TYPES.items()}
+        dimensions = {kind: dimension for kind, _, dimension, *_ in table}
+        diagnostics.unscored = {name: dimensions[cls] for name, cls in RECORD_TYPES.items()
+                                if diagnostics.rejected_counts.get(name) and not counts[cls]}
         per_dimension: dict[Dimension, MetricResult] = {}
         for kind, _, dimension, finish_dimension, args in table:
             try:
@@ -403,7 +410,7 @@ def evaluate_stream(
     a stream with records but none parseable raises EvaluationError.
     """
     diagnostics = StreamDiagnostics()
-    errors = diagnostics.parse_errors
+    errors, rejected = diagnostics.parse_errors, diagnostics.rejected_counts
     routes, counts, finish = _folds(config, probe_context, embedding_provider, diagnostics)
     for number, line in enumerate(lines, start=1):
         try:
@@ -418,6 +425,8 @@ def evaluate_stream(
             record = parse_trace_record(line, number)
         except (TraceParseError, ValidationError) as exc:
             errors.append({"line": number, "message": str(exc)})
+            if exc.record_type is not None:
+                rejected[exc.record_type] = rejected.get(exc.record_type, 0) + 1
             continue
         kind = type(record)
         counts[kind] += 1

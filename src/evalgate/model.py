@@ -1,14 +1,14 @@
 """Core domain types: trace records, metric results, reports, configuration.
 
 Trace records arrive as a line-delimited JSON stream, one record per line,
-discriminated by a ``type`` field. The five trace records are slotted value
-objects: each checks and normalises its fields, taken in declaration order,
-in its own ``__init__``; the engine never mutates them, and they are not
-hashable. The configuration is a frozen dataclass; a metric result and a
-report are NamedTuples, immutable, equal to a plain tuple of their values and
-not checked again. Timestamps are integer ticks from the trace. No
-wall-clock value sits in a metric result or a report, so a replay gives an
-equal report.
+discriminated by a ``type`` field. Each of the five trace records declares
+its fields once, as the parameters of the ``__init__`` that checks and
+normalises them; they are its slots. Records are not dataclasses, the engine
+never mutates them, and they are not hashable. The configuration is a frozen
+dataclass; a metric result and a report are NamedTuples, immutable, equal to
+a plain tuple of their values and not checked again. Timestamps are integer
+ticks from the trace. No wall-clock value sits in a metric result or a
+report, so a replay gives an equal report.
 """
 
 from __future__ import annotations
@@ -16,18 +16,22 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import ge, itemgetter
-from typing import Any, NamedTuple, Union
+from typing import Any, Callable, NamedTuple, Union
 
 
 class ValidationError(ValueError):
     """A record or configuration value violates a domain invariant."""
 
+    record_type: str | None = None  # the wire type of the trace line it rejects
+
 
 class TraceParseError(ValueError):
     """A trace line could not be parsed into a record."""
+
+    record_type: str | None = None  # the known wire type the line named, if any
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:
@@ -98,6 +102,27 @@ def _echo(value: Any) -> str:
     return text if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]}...[{len(text)} characters]"
 
 
+def _fields(init: Callable[..., None]) -> tuple[str, ...]:
+    """A record's fields: the parameters of its __init__ after self, in order."""
+    return init.__code__.co_varnames[1:init.__code__.co_argcount]
+
+
+class _Record:
+    """A dataclass's equality and repr over a record's fields; __eq__ alone makes it unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
 # The five records below check every field in their own __init__, one frame
 # per record. Each check of a number, or of a list of numbers or of names,
 # starts with an exact-type test that accepts a subset of what the general
@@ -105,13 +130,8 @@ def _echo(value: Any) -> str:
 # text. A number is stored as the float that check returns.
 
 
-@dataclass(slots=True, init=False)
-class StepResult:
+class StepResult(_Record):
     """One pipeline step with its self-reported confidence."""
-
-    step_index: int
-    step_name: str
-    confidence: float
 
     def __init__(self, step_index: int, step_name: str, confidence: float):
         if type(step_index) is bool or not isinstance(step_index, int):
@@ -124,15 +144,11 @@ class StepResult:
             confidence = _require_unit("confidence", confidence)
         self.step_index, self.step_name, self.confidence = step_index, step_name, confidence
 
+    __slots__ = __match_args__ = _fields(__init__)
 
-@dataclass(slots=True, init=False)
-class ToolCallRecord:
+
+class ToolCallRecord(_Record):
     """One tool invocation outcome. PARTIAL means schema-valid but incomplete."""
-
-    tool_name: str
-    state: ToolCallState
-    latency_ms: float
-    timestamp: int
 
     def __init__(self, tool_name: str, state: ToolCallState, latency_ms: float, timestamp: int):
         try:
@@ -151,15 +167,11 @@ class ToolCallRecord:
             _require_tick(timestamp)
         self.tool_name, self.latency_ms, self.timestamp = tool_name, latency_ms, timestamp
 
+    __slots__ = __match_args__ = _fields(__init__)
 
-@dataclass(slots=True, init=False)
-class OutputEvent:
+
+class OutputEvent(_Record):
     """One categorized output, optionally tagged with an external quality signal."""
-
-    category: str
-    session_id: str
-    timestamp: int
-    quality_signal: float | None = None
 
     def __init__(self, category: str, session_id: str, timestamp: int,
                  quality_signal: float | None = None):
@@ -175,15 +187,12 @@ class OutputEvent:
         self.category, self.session_id, self.timestamp = category, session_id, timestamp
         self.quality_signal = quality_signal
 
+    __slots__ = __match_args__ = _fields(__init__)
 
-@dataclass(slots=True, init=False)
-class AttributionCase:
+
+class AttributionCase(_Record):
     """A decision's claimed attribution over distinct features, ranked by
     descending weight."""
-
-    feature_names: tuple[str, ...]
-    claimed_weights: tuple[float, ...]
-    decision_value: float
 
     def __init__(self, feature_names: tuple[str, ...], claimed_weights: tuple[float, ...],
                  decision_value: float):
@@ -212,15 +221,11 @@ class AttributionCase:
         self.feature_names, self.claimed_weights = names, weights
         self.decision_value = decision_value
 
+    __slots__ = __match_args__ = _fields(__init__)
 
-@dataclass(slots=True, init=False)
-class RequestPair:
+
+class RequestPair(_Record):
     """Two surface forms of one request, with the decision each received."""
-
-    text_a: str
-    text_b: str
-    decision_a: str
-    decision_b: str
 
     def __init__(self, text_a: str, text_b: str, decision_a: str, decision_b: str):
         texts = text_a, text_b, decision_a, decision_b
@@ -229,13 +234,14 @@ class RequestPair:
                 raise ValidationError(f"{name} must be a non-empty string")
         self.text_a, self.text_b, self.decision_a, self.decision_b = texts
 
+    __slots__ = __match_args__ = _fields(__init__)
+
 
 TraceRecord = Union[StepResult, ToolCallRecord, OutputEvent, AttributionCase, RequestPair]
 
-# Wire name of each record type. The dataclass fields are the wire schema:
-# fields without a default are required, the rest optional. Unknown fields
-# such as "reasoning" or "context" are accepted and ignored; unknown types
-# are not.
+# Wire name of each record type. Its __init__'s parameters are its wire schema,
+# those without a default required. Unknown fields such as "reasoning" or
+# "context" are accepted and ignored; unknown types are not.
 RECORD_TYPES: dict[str, type] = {
     "step": StepResult,
     "tool_call": ToolCallRecord,
@@ -354,20 +360,17 @@ class EvalConfig:
 CONFIG_FIELDS = {f.name.rstrip("_"): f for f in fields(EvalConfig)}
 
 
-# Per wire name: the record class, a getter for its required fields in
-# declaration order, and the names of its optional fields. An optional field
-# absent from a line is read as None, so each must default to None.
-_WIRE_SCHEMA = {
-    name: (
-        cls,
-        itemgetter(*(f.name for f in fields(cls) if f.default is MISSING)),
-        tuple(f.name for f in fields(cls) if f.default is not MISSING),
-    )
-    for name, cls in RECORD_TYPES.items()
-}
-if any(f.default is not MISSING and f.default is not None
-       for cls in RECORD_TYPES.values() for f in fields(cls)):
-    raise TypeError("an optional trace record field must default to None")
+# Per wire name: the record class, a getter for its required fields, and its optional
+# fields. An absent optional field is read as None, so each must default to None.
+def _wire_schema(cls: type) -> tuple[type, Callable[[dict], tuple], tuple[str, ...]]:
+    defaults = cls.__init__.__defaults__ or ()
+    if any(default is not None for default in defaults):
+        raise TypeError("an optional trace record field must default to None")
+    split = len(cls.__slots__) - len(defaults)
+    return cls, itemgetter(*cls.__slots__[:split]), cls.__slots__[split:]
+
+
+_WIRE_SCHEMA = {name: _wire_schema(cls) for name, cls in RECORD_TYPES.items()}
 _WIRE_NAMES = {cls: name for name, cls in RECORD_TYPES.items()}
 _scan_once = json.JSONDecoder().scan_once
 
@@ -409,24 +412,27 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
     try:
         values = required(payload)
     except KeyError as exc:
-        raise TraceParseError(
-            f"{record_type} record missing field {exc.args[0]!r}", line_number
-        ) from None
+        error = TraceParseError(f"{record_type} record missing field {exc.args[0]!r}", line_number)
+        error.record_type = record_type
+        raise error from None
     try:
         if optional:
             return cls(*values, *map(payload.get, optional))
         return cls(*values)
     except ValidationError as exc:
+        exc.record_type = record_type
         if line_number is not None:
-            raise ValidationError(f"line {line_number}: {exc}") from exc
+            error = ValidationError(f"line {line_number}: {exc}")
+            error.record_type = record_type
+            raise error from exc
         raise
 
 
 def serialize_trace_record(record: TraceRecord) -> str:
     """Serialize a record to its one-line wire form. Round-trips via parse."""
     payload: dict[str, Any] = {"type": _WIRE_NAMES[type(record)]}
-    for f in fields(record):
-        value = getattr(record, f.name)
+    for name in record.__slots__:
+        value = getattr(record, name)
         if value is not None:
-            payload[f.name] = value
+            payload[name] = value
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)

@@ -21,7 +21,8 @@ from typing import Any
 
 from evalgate.cascade import InsufficientTraceError, evaluate_cascade
 from evalgate.explanation import evaluate_explanation
-from evalgate.model import Dimension, EvaluationError, ToolCallState, TraceParseError, ValidationError
+from evalgate.model import (RECORD_TYPES, Dimension, EvaluationError, ToolCallState,
+                            TraceParseError, ValidationError)
 from evalgate.reliability import (LATENCY_BUCKET_COUNT, count_states, detect_silent_degradation,
                                   percentile_nearest_rank, tool_reliability_score)
 from evalgate.stats import UndefinedStatisticError, normalized_entropy, pearson
@@ -31,6 +32,8 @@ def exact(value: Any) -> Any:
     """The value, typed at every level: floats by float.hex, records by field."""
     kind = type(value).__name__
     names = getattr(value, "_fields", None) or getattr(value, "__dataclass_fields__", None)
+    if type(value) in RECORD_TYPES.values():  # a trace record's slots are its fields
+        names = value.__slots__
     if names is not None:
         return kind, [(name, exact(getattr(value, name))) for name in names]
     if type(value) is float:

@@ -118,6 +118,69 @@ def test_stderr_lists_the_first_parse_errors_and_the_report_lists_all(tmp_path, 
     assert len(json.loads(report_path.read_text())["parse_errors"]) == 100
 
 
+def _wholly_rejected_tool_calls(path) -> None:
+    """5 healthy steps; 1000 steps and then 1000 tool calls, each rejected by a check
+    or a missing field; and lines of no known type, which count against no type."""
+    simulate_to(path, "fm1", "--variant", "healthy")
+    with path.open("a") as handle:
+        handle.write('{"type":"step","step_index":0,"step_name":"x","confidence":0.5}\n' * 1000)
+        handle.write('{"type":"tool_call","tool_name":"t","state":"TIMEOUT",'
+                     '"latency_ms":1,"timestamp":0}\n' * 999)
+        handle.write('{"type":"tool_call","tool_name":"t","state":"SUCCESS"}\n')
+        handle.write('not json\n{"type":"span"}\n{"type":["tool_call"]}\n')
+
+
+WHOLLY_REJECTED_WARNING = ("warning: tool_call: 1000 line(s) rejected, none accepted; "
+                           "TOOL not scored [parse.type_rejected]")
+
+
+def test_a_wholly_rejected_type_is_named_once_on_stderr_and_never_in_the_report(
+    tmp_path, capsys
+):
+    trace, report_path = tmp_path / "t.jsonl", tmp_path / "r.json"
+    _wholly_rejected_tool_calls(trace)
+    with trace.open("rb") as handle:
+        _, diagnostics = evaluate_stream(handle)
+    assert diagnostics.rejected_counts == {"step": 1000, "tool_call": 1000}
+    assert [(name, dim.value) for name, dim in diagnostics.unscored.items()] == \
+        [("tool_call", "TOOL")]
+    capsys.readouterr()
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path)) == 0
+    err_lines = capsys.readouterr().err.splitlines()
+    assert [line for line in err_lines if line.startswith("warning:")] == [WHOLLY_REJECTED_WARNING]
+    assert err_lines.index(WHOLLY_REJECTED_WARNING) == 21  # after the 21 parse-error lines
+    document = json.loads(report_path.read_text())
+    assert list(document) == ["config", "dimensions", "overall_score", "passed",
+                              "record_counts", "parse_errors", "evaluation_notes"]
+    assert list(document["dimensions"]) == ["CASCADE"] and len(document["parse_errors"]) == 2003
+
+    assert run_cli("evaluate", "--input", str(trace), "--strict") == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines[-2:] == [WHOLLY_REJECTED_WARNING,
+                              "error: --strict and 2003 line(s) failed to parse"]
+
+
+@pytest.mark.parametrize("error, shown", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("cannot allocate"), "error: out of memory"),
+    (RuntimeError(), "error: unexpected RuntimeError"),
+    (KeyError(""), "error: unexpected KeyError: ''"),
+])
+def test_an_unexpected_error_is_one_named_stderr_line_and_exit_two(
+    tmp_path, monkeypatch, capsys, error, shown
+):
+    trace = tmp_path / "t.jsonl"
+    simulate_to(trace, "fm1", "--variant", "healthy")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "evaluate_stream", fail)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--input", str(trace)) == 2
+    assert capsys.readouterr().err.splitlines() == [shown]
+
+
 def test_unknown_scenario_or_variant_exits_two(tmp_path):
     out = tmp_path / "t.jsonl"
     proc = subprocess.run(

@@ -6,7 +6,6 @@ import inspect
 import itertools
 import json
 import math
-from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given, settings
@@ -302,15 +301,77 @@ def test_library_construction_normalises_values():
                                            feature_names=["a", "b"])) == reference.exact(case)
 
 
-def test_each_record_takes_its_fields_in_declaration_order_with_their_defaults():
-    for cls in RECORD_TYPES.values():
+# Each wire type's required and optional fields, in order; every optional
+# field defaults to None.
+WIRE_SCHEMA = {
+    "step": (("step_index", "step_name", "confidence"), ()),
+    "tool_call": (("tool_name", "state", "latency_ms", "timestamp"), ()),
+    "output": (("category", "session_id", "timestamp"), ("quality_signal",)),
+    "attribution": (("feature_names", "claimed_weights", "decision_value"), ()),
+    "request_pair": (("text_a", "text_b", "decision_a", "decision_b"), ()),
+}
+
+
+def test_each_record_takes_its_wire_fields_in_order_with_none_defaults():
+    assert list(RECORD_TYPES) == list(WIRE_SCHEMA)
+    for name, cls in RECORD_TYPES.items():
+        required, optional = WIRE_SCHEMA[name]
         parameters = list(inspect.signature(cls).parameters.values())
-        assert [p.name for p in parameters] == [f.name for f in fields(cls)]
+        assert [p.name for p in parameters] == [*required, *optional]
         assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
-        assert [p.default for p in parameters] == [
-            inspect.Parameter.empty if f.default is MISSING else f.default for f in fields(cls)
-        ]
-    assert [f.name for f in fields(OutputEvent) if f.default is not MISSING] == ["quality_signal"]
+        assert [p.default for p in parameters] == \
+            [inspect.Parameter.empty] * len(required) + [None] * len(optional)
+        assert cls.__slots__ == cls.__match_args__ == (*required, *optional)
+
+
+# One record of each type with its repr and its fields by position, as a
+# dataclass with the same fields shows them.
+RECORD_PINS = [
+    (StepResult(1, "x", 1), "StepResult(step_index=1, step_name='x', confidence=1.0)",
+     (1, "x", 1.0)),
+    (ToolCallRecord("svc", "PARTIAL", 1, 0),
+     "ToolCallRecord(tool_name='svc', state=<ToolCallState.PARTIAL: 'PARTIAL'>, "
+     "latency_ms=1.0, timestamp=0)",
+     ("svc", ToolCallState.PARTIAL, 1.0, 0)),
+    (OutputEvent("c", "s", 0),
+     "OutputEvent(category='c', session_id='s', timestamp=0, quality_signal=None)",
+     ("c", "s", 0, None)),
+    (AttributionCase(["a", "b"], [2, 1], 0),
+     "AttributionCase(feature_names=('a', 'b'), claimed_weights=(2.0, 1.0), decision_value=0.0)",
+     (("a", "b"), (2.0, 1.0), 0.0)),
+    (RequestPair("a", "b", "x", "y"),
+     "RequestPair(text_a='a', text_b='b', decision_a='x', decision_b='y')",
+     ("a", "b", "x", "y")),
+]
+
+
+def by_position(record):
+    match record:
+        case StepResult(a, b, c) | AttributionCase(a, b, c):
+            return a, b, c
+        case ToolCallRecord(a, b, c, d) | OutputEvent(a, b, c, d) | RequestPair(a, b, c, d):
+            return a, b, c, d
+
+
+@pytest.mark.parametrize("record, shown, values", RECORD_PINS,
+                         ids=[type(pin[0]).__name__ for pin in RECORD_PINS])
+def test_each_record_keeps_its_repr_equality_hashing_and_match(record, shown, values):
+    cls = type(record)
+    assert repr(record) == shown
+    assert by_position(record) == values
+    same = cls(*values)
+    assert same is not record and same == record and not same != record
+    for index, value in enumerate(values):  # one field changed after construction
+        changed = cls(*values)
+        setattr(changed, cls.__slots__[index], "other" if value != "other" else "else")
+        assert changed != record and not changed == record
+    assert record != values and record.__eq__(values) is NotImplemented
+    assert all(record != other for other, _, _ in RECORD_PINS if type(other) is not cls)
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(record)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 # --- differential tests of the validators' and the scanner's fast paths --------

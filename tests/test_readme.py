@@ -1,6 +1,7 @@
-"""README's Configuration table, Scenarios list and stated limits against the
-code they document: the config-key map with EvalConfig()'s defaults, the
-scenario table's variants, the echo, memo and tick bounds, and the public API."""
+"""README's Configuration table, Scenarios list, trace examples and stated
+limits against the code they document: the config-key map with EvalConfig()'s
+defaults, the scenario table's variants, each record's fields, the echo, memo
+and tick bounds, and the public API."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import evalgate
 from evalgate.consistency import _MEMO_ENTRIES
-from evalgate.model import _ECHO_CHARS, CONFIG_FIELDS, MAX_TICK, EvalConfig
+from evalgate.model import _ECHO_CHARS, CONFIG_FIELDS, MAX_TICK, RECORD_TYPES, EvalConfig
 from evalgate.simulate import SCENARIO_VARIANTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -56,6 +57,14 @@ def test_the_scenarios_list_names_every_scenario_and_its_variants():
         listed[scenario.strip("`")] = tuple(re.findall(r"`(\w+)`", text.partition("variants")[2]))
     assert listed == {scenario: tuple(v for v in variants if v)
                       for scenario, variants in SCENARIO_VARIANTS.items()}
+
+
+def test_each_trace_format_example_has_exactly_the_fields_of_its_type():
+    block = section("Trace format").split("```jsonl\n", 1)[1].split("```", 1)[0]
+    examples = [json.loads(line) for line in block.splitlines()]
+    assert [example["type"] for example in examples] == list(RECORD_TYPES)
+    for example in examples:
+        assert list(example)[1:] == list(RECORD_TYPES[example["type"]].__slots__), example
 
 
 def test_the_stated_echo_memo_and_tick_limits_are_the_codes():

@@ -30,20 +30,12 @@ from evalgate.simulate import (
 
 SOURCE = Path(__file__).resolve().parent.parent / "src"
 
-# The only dataclasses: the five trace records and the config, which carry the
-# wire or config schema and check it in __post_init__, and StreamDiagnostics,
-# which the evaluator fills in as it reads. Every other value object is a
-# NamedTuple, which is declared without generating and compiling code in each
-# process.
-DATACLASSES = {
-    "evalgate.evaluator.StreamDiagnostics",
-    "evalgate.model.AttributionCase",
-    "evalgate.model.EvalConfig",
-    "evalgate.model.OutputEvent",
-    "evalgate.model.RequestPair",
-    "evalgate.model.StepResult",
-    "evalgate.model.ToolCallRecord",
-}
+# The only dataclasses: the config, which carries the config schema and
+# checks it in __post_init__, and StreamDiagnostics, which the evaluator fills
+# in as it reads. The trace records are slotted classes whose __init__
+# declares their fields, and every other value object is a NamedTuple; both
+# are declared without generating and compiling code in each process.
+DATACLASSES = {"evalgate.evaluator.StreamDiagnostics", "evalgate.model.EvalConfig"}
 
 
 def run_isolated(code: str) -> str:
