@@ -2,12 +2,12 @@
 scenario simulator.
 
 Exit codes: 0 when the gate passes, 1 when it fails, 2 on any error (input,
-configuration, output, or an unexpected exception). The report holds no
-wall-clock value, so it is the same for the same input and config bytes. Its
-text, json.dump's with indent=2, is encoded into its output a part at a time,
-never held whole in memory: a temp file then a rename, so exit 2 leaves none,
-or a FIFO, device or stdout, written in place, which may get part of one.
-Timing goes to stderr only.
+configuration, output, a record type whose every line was rejected, or an
+unexpected exception). The report holds no wall-clock value, so it is the same
+for the same input and config bytes. Its text, json.dump's with indent=2, is
+encoded into its output a part at a time, never held whole in memory: a temp
+file then a rename, so exit 2 leaves none, or a FIFO, device or stdout,
+written in place, which may get part of one. Timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -181,11 +181,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         more = len(diagnostics.parse_errors) - STDERR_PARSE_ERRORS
         print(f"parse error: ... and {more} more; all are listed in the report", file=sys.stderr)
     for name, dimension in diagnostics.unscored.items():
-        print(f"warning: {name}: {diagnostics.rejected_counts[name]} line(s) rejected, none "
+        print(f"error: {name}: {diagnostics.rejected_counts[name]} line(s) rejected, none "
               f"accepted; {dimension.value} not scored [parse.type_rejected]", file=sys.stderr)
     if args.strict and diagnostics.parse_errors:
         count = len(diagnostics.parse_errors)
         print(f"error: --strict and {count} line(s) failed to parse", file=sys.stderr)
+        return EXIT_ERROR
+    if diagnostics.unscored:
         return EXIT_ERROR
 
     document = report_document(report, config, diagnostics)
@@ -250,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
     except Exception as exc:  # a defect: still one stderr line and exit 2, never a traceback

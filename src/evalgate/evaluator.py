@@ -41,6 +41,7 @@ from .model import (
     EvalConfig,
     EvalReport,
     EvaluationError,
+    InputError,
     MetricResult,
     OutputEvent,
     RequestPair,
@@ -49,7 +50,6 @@ from .model import (
     ToolCallState,
     TraceParseError,
     TraceRecord,
-    ValidationError,
     parse_trace_record,
 )
 from .reliability import LATENCY_BUCKET_COUNT, bucket_indices, evaluate_reliability
@@ -423,7 +423,7 @@ def evaluate_stream(
             if not line:
                 continue
             record = parse_trace_record(line, number)
-        except (TraceParseError, ValidationError) as exc:
+        except InputError as exc:
             errors.append({"line": number, "message": str(exc)})
             if exc.record_type is not None:
                 rejected[exc.record_type] = rejected.get(exc.record_type, 0) + 1

@@ -22,21 +22,23 @@ from operator import ge, itemgetter
 from typing import Any, Callable, NamedTuple, Union
 
 
-class ValidationError(ValueError):
+class InputError(ValueError):
+    """Input the gate rejects. Given a line number, the message starts with
+    ``line N: ``; record_type is the known wire type the rejected trace line
+    named, or None."""
+
+    def __init__(self, message: str, line_number: int | None = None,
+                 record_type: str | None = None):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
+        self.record_type = record_type
+
+
+class ValidationError(InputError):
     """A record or configuration value violates a domain invariant."""
 
-    record_type: str | None = None  # the wire type of the trace line it rejects
 
-
-class TraceParseError(ValueError):
+class TraceParseError(InputError):
     """A trace line could not be parsed into a record."""
-
-    record_type: str | None = None  # the known wire type the line named, if any
-
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
 
 
 class EvaluationError(RuntimeError):
@@ -391,7 +393,8 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
     A line that json.loads's scanner reads whole from index 0 has no leading BOM or
     whitespace, so json.loads returns an equal value; it decides every other line.
     Raises TraceParseError for malformed JSON, unknown types, or missing
-    fields, and ValidationError (with line context) for invariant violations.
+    fields, and ValidationError for invariant violations; either names the
+    line when given its number, and the wire type once the type is known.
     """
     try:
         payload, end = _scan_once(line, 0)
@@ -412,20 +415,14 @@ def parse_trace_record(line: str, line_number: int | None = None) -> TraceRecord
     try:
         values = required(payload)
     except KeyError as exc:
-        error = TraceParseError(f"{record_type} record missing field {exc.args[0]!r}", line_number)
-        error.record_type = record_type
-        raise error from None
+        raise TraceParseError(f"{record_type} record missing field {exc.args[0]!r}",
+                              line_number, record_type) from None
     try:
         if optional:
             return cls(*values, *map(payload.get, optional))
         return cls(*values)
     except ValidationError as exc:
-        exc.record_type = record_type
-        if line_number is not None:
-            error = ValidationError(f"line {line_number}: {exc}")
-            error.record_type = record_type
-            raise error from exc
-        raise
+        raise ValidationError(str(exc), line_number, record_type) from exc
 
 
 def serialize_trace_record(record: TraceRecord) -> str:

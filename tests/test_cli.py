@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from evalgate import cli
 from evalgate.cli import ConfigError, load_config, main
 from evalgate.evaluator import evaluate_stream
-from evalgate.model import EvalConfig, StepResult, serialize_trace_record
+from evalgate.model import EvalConfig, EvaluationError, StepResult, serialize_trace_record
 from evalgate.simulate import FM1_VARIANTS, SCENARIO_VARIANTS, ScenarioSpec, generate
 
 
@@ -130,8 +130,8 @@ def _wholly_rejected_tool_calls(path) -> None:
         handle.write('not json\n{"type":"span"}\n{"type":["tool_call"]}\n')
 
 
-WHOLLY_REJECTED_WARNING = ("warning: tool_call: 1000 line(s) rejected, none accepted; "
-                           "TOOL not scored [parse.type_rejected]")
+WHOLLY_REJECTED_ERROR = ("error: tool_call: 1000 line(s) rejected, none accepted; "
+                         "TOOL not scored [parse.type_rejected]")
 
 
 def test_a_wholly_rejected_type_is_named_once_on_stderr_and_never_in_the_report(
@@ -144,19 +144,20 @@ def test_a_wholly_rejected_type_is_named_once_on_stderr_and_never_in_the_report(
     assert diagnostics.rejected_counts == {"step": 1000, "tool_call": 1000}
     assert [(name, dim.value) for name, dim in diagnostics.unscored.items()] == \
         [("tool_call", "TOOL")]
+    assert len(diagnostics.parse_errors) == 2003
     capsys.readouterr()
-    assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path)) == 0
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path)) == 2
+    assert not report_path.exists()
     err_lines = capsys.readouterr().err.splitlines()
-    assert [line for line in err_lines if line.startswith("warning:")] == [WHOLLY_REJECTED_WARNING]
-    assert err_lines.index(WHOLLY_REJECTED_WARNING) == 21  # after the 21 parse-error lines
-    document = json.loads(report_path.read_text())
-    assert list(document) == ["config", "dimensions", "overall_score", "passed",
-                              "record_counts", "parse_errors", "evaluation_notes"]
-    assert list(document["dimensions"]) == ["CASCADE"] and len(document["parse_errors"]) == 2003
+    assert [line for line in err_lines if "[parse.type_rejected]" in line] == \
+        [WHOLLY_REJECTED_ERROR]
+    assert err_lines[21:] == [WHOLLY_REJECTED_ERROR]  # after the 21 parse-error lines
 
-    assert run_cli("evaluate", "--input", str(trace), "--strict") == 2
+    assert run_cli("evaluate", "--input", str(trace), "--output", str(report_path),
+                   "--strict") == 2
+    assert not report_path.exists()
     err_lines = capsys.readouterr().err.splitlines()
-    assert err_lines[-2:] == [WHOLLY_REJECTED_WARNING,
+    assert err_lines[21:] == [WHOLLY_REJECTED_ERROR,
                               "error: --strict and 2003 line(s) failed to parse"]
 
 
@@ -165,6 +166,10 @@ def test_a_wholly_rejected_type_is_named_once_on_stderr_and_never_in_the_report(
     (MemoryError("cannot allocate"), "error: out of memory"),
     (RuntimeError(), "error: unexpected RuntimeError"),
     (KeyError(""), "error: unexpected KeyError: ''"),
+    (ValueError(), "error: ValueError"),
+    (OSError(), "error: OSError"),
+    (EvaluationError(), "error: EvaluationError"),
+    (ValueError("bad value"), "error: bad value"),
 ])
 def test_an_unexpected_error_is_one_named_stderr_line_and_exit_two(
     tmp_path, monkeypatch, capsys, error, shown
@@ -336,10 +341,13 @@ def test_a_ten_megabyte_type_or_state_adds_under_a_kilobyte_to_report_and_stderr
     trace, report = tmp_path / "t.jsonl", tmp_path / "r.json"
     simulate_to(trace, "fm1", "--variant", "healthy")
     healthy, huge = trace.read_text(), "x" * 10_000_000
+    # An accepted tool call after the bad line, so that TOOL is scored in every run.
+    tool_call = ('{"type":"tool_call","tool_name":"t","state":"SUCCESS","latency_ms":1,'
+                 '"timestamp":0}\n')
     runs = []
     for bad in ("", {"type": huge}, {"type": "tool_call", "tool_name": "t", "state": huge,
                                      "latency_ms": 1, "timestamp": 0}):
-        trace.write_text(healthy + (json.dumps(bad) + "\n" if bad else ""))
+        trace.write_text(healthy + (json.dumps(bad) + "\n" if bad else "") + tool_call)
         capsys.readouterr()
         assert run_cli("evaluate", "--input", str(trace), "--output", str(report)) in (0, 1)
         errors = json.loads(report.read_text())["parse_errors"]
@@ -1045,12 +1053,22 @@ HOSTILE_LINES = [
     b"\xef\xbb\xbf{}",
     b"",
 ]
+# One line per record type that names the type and is rejected, by a check or a
+# missing field: a stream with one and no accepted line of its type is wholly rejected.
+REJECTED_LINES = [
+    b'{"type":"step","step_index":0,"step_name":"x","confidence":0.5}',
+    b'{"type":"tool_call","tool_name":"t","state":"SUCCESS"}',
+    b'{"type":"output","category":"","session_id":"s","timestamp":1}',
+    b'{"type":"attribution","feature_names":"ab","claimed_weights":[0.6,0.4],'
+    b'"decision_value":0.5}',
+    b'{"type":"request_pair","request_a":"a"}',
+]
 byte_lines = st.one_of(
     st.sampled_from(
         _wire_lines("fm1", "low1") + _wire_lines("fm2") + _wire_lines("fm3")
         + _wire_lines("fm5", "proxy_first")
     ),
-    st.sampled_from(HOSTILE_LINES),
+    st.sampled_from(HOSTILE_LINES + REJECTED_LINES),
     st.builds(
         lambda name, confidence: serialize_trace_record(StepResult(1, name, confidence)).encode(),
         st.text(alphabet="a\r\x85\u2028\u2029", max_size=4),
@@ -1063,13 +1081,24 @@ byte_lines = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lines=st.lists(byte_lines, max_size=12), strict=st.booleans())
 def test_exit_code_contract(lines, strict):
-    """Exit 0 or 1 iff a report was written; exit 1 iff that report failed the gate."""
+    """Exit 0 or 1 iff a report was written; exit 1 iff that report failed the gate;
+    exit 2 when a record type's every line was rejected."""
     with tempfile.TemporaryDirectory() as tmp:
         trace, report = Path(tmp, "t.jsonl"), Path(tmp, "r.json")
         trace.write_bytes(b"\n".join(lines))
-        code = run_cli("evaluate", "--input", str(trace), "--output", str(report),
-                       *(["--strict"] if strict else []))
+        seen = []  # the diagnostics of a stream that evaluated
+
+        def recording(*args, **kwargs):
+            report_and_diagnostics = evaluate_stream(*args, **kwargs)
+            seen.append(report_and_diagnostics[1])
+            return report_and_diagnostics
+
+        with patch.object(cli, "evaluate_stream", recording):
+            code = run_cli("evaluate", "--input", str(trace), "--output", str(report),
+                           *(["--strict"] if strict else []))
         assert code in (0, 1, 2)
         assert report.exists() == (code in (0, 1))
+        if seen and seen[0].unscored:
+            assert code == 2
         if report.exists():
             assert (code == 1) == (json.loads(report.read_text())["passed"] is False)

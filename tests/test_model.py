@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from evalgate.evaluator import evaluate_stream
 from evalgate.model import (
     DIMENSION_KEYS,
     RECORD_TYPES,
@@ -94,6 +95,50 @@ def test_parse_error_messages(line, error, message):
         parse_trace_record(line, line_number=9)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+# Each kind of rejection, pinned from the release before TraceParseError and
+# ValidationError shared one constructor: the error's class, its text without and
+# with a line number, and the wire type it names.
+REJECTIONS = [
+    ("not json", TraceParseError, "invalid JSON: Expecting value", None),
+    ("[1, 2]", TraceParseError, "record must be a JSON object", None),
+    ('{"type":"span"}', TraceParseError, "unknown record type: 'span'", None),
+    ('{"type":["tool_call"]}', TraceParseError, "unknown record type: ['tool_call']", None),
+    ('{"type":"tool_call","tool_name":"t","state":"SUCCESS"}', TraceParseError,
+     "tool_call record missing field 'latency_ms'", "tool_call"),
+    ('{"type":"step","step_index":0,"step_name":"x","confidence":0.5}', ValidationError,
+     "step_index must be >= 1, got 0", "step"),
+]
+
+
+@pytest.mark.parametrize("line, error, message, record_type", REJECTIONS)
+@pytest.mark.parametrize("line_number, prefix", [(None, ""), (7, "line 7: ")])
+def test_each_rejection_keeps_its_class_text_and_wire_type(
+    line, error, message, record_type, line_number, prefix
+):
+    with pytest.raises(ValueError) as excinfo:
+        parse_trace_record(line, line_number)
+    assert type(excinfo.value) is error
+    assert (str(excinfo.value), excinfo.value.record_type) == (prefix + message, record_type)
+
+
+def test_stream_rejections_keep_their_text_and_counts():
+    healthy = [serialize_trace_record(StepResult(i, f"s{i}", 0.9)).encode() for i in range(1, 6)]
+    _, diagnostics = evaluate_stream(healthy + [
+        b'{"type":"step","step_index":1,"step_name":"\xff\xfe","confidence":0.5}',
+        b"\xef\xbb\xbf\xc3",
+        b'{"type":"step","step_index":0,"step_name":"x","confidence":0.5}',
+        b'{"type":"tool_call","tool_name":"t","state":"SUCCESS"}',
+    ])
+    assert diagnostics.parse_errors == [
+        {"line": 6, "message": "line 6: invalid UTF-8: invalid start byte"},
+        {"line": 7, "message": "line 7: invalid UTF-8: unexpected end of data"},
+        {"line": 8, "message": "line 8: step_index must be >= 1, got 0"},
+        {"line": 9, "message": "line 9: tool_call record missing field 'latency_ms'"},
+    ]
+    assert diagnostics.rejected_counts == {"step": 1, "tool_call": 1}
+    assert list(diagnostics.unscored) == ["tool_call"]
 
 
 def test_parse_rejects_missing_field_naming_it():
