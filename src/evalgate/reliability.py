@@ -49,11 +49,7 @@ class ReliabilityResult(NamedTuple):
 
 def partial_response_rate(calls: Sequence[ToolCallRecord]) -> float:
     """Fraction of calls in PARTIAL state; calls must be non-empty."""
-    return _partial_share(count_states(calls))
-
-
-def _partial_share(state_counts: dict[str, int]) -> float:
-    return state_counts[ToolCallState.PARTIAL.value] / sum(state_counts.values())
+    return sum(call.state == ToolCallState.PARTIAL for call in calls) / len(calls)
 
 
 def percentile_nearest_rank(values: Sequence[float], pct: float) -> float:
@@ -149,14 +145,6 @@ def detect_silent_degradation(
     return prr > config.theta_prr and abs(external_accuracy_delta) <= config.acc_stability_band
 
 
-def count_states(calls: Sequence[ToolCallRecord]) -> dict[str, int]:
-    """Calls per state value, in ToolCallState order."""
-    counts = {state.value: 0 for state in ToolCallState}
-    for call in calls:
-        counts[call.state.value] += 1
-    return counts
-
-
 def evaluate_reliability(
     ticks: Sequence[int],
     latencies: Sequence[float],
@@ -167,8 +155,9 @@ def evaluate_reliability(
     """Assemble the full reliability result for one window of calls.
 
     The calls come as columns: sequences (lists, or arrays of 8-byte numbers)
-    of each call's tick and latency in call order, and the calls per state
-    value as count_states gives them; ticks must be non-empty.
+    of each call's tick and latency in call order, and the number of calls
+    in each state, keyed by state value in ToolCallState order; ticks must be
+    non-empty.
 
     ``quality`` is the time-bucketed quality series aligned to the calls'
     tick span, and its first point is the baseline that quality drops are
@@ -177,7 +166,7 @@ def evaluate_reliability(
     compares consecutive quality points by default, or the last point
     against the first when acc_delta_cumulative is set.
     """
-    prr = _partial_share(state_counts)
+    prr = state_counts[ToolCallState.PARTIAL.value] / sum(state_counts.values())
     rho = 0.0
     fallback: str | None = None
     bucket_count = 0

@@ -23,7 +23,7 @@ from evalgate.cascade import InsufficientTraceError, evaluate_cascade
 from evalgate.explanation import evaluate_explanation
 from evalgate.model import (RECORD_TYPES, Dimension, EvaluationError, ToolCallState,
                             TraceParseError, ValidationError)
-from evalgate.reliability import (LATENCY_BUCKET_COUNT, count_states, detect_silent_degradation,
+from evalgate.reliability import (LATENCY_BUCKET_COUNT, detect_silent_degradation,
                                   percentile_nearest_rank, tool_reliability_score)
 from evalgate.stats import UndefinedStatisticError, normalized_entropy, pearson
 
@@ -260,6 +260,12 @@ def bucket_indices(ticks: list[int], bucket_count: int, lo: int | None = None,
     return [max(0, min(bucket_count - 1, int((t - lo) / width))) for t in ticks]
 
 
+def state_counts(calls: list) -> dict[str, int]:
+    """TOOL's call_counts: the calls in each state, every state of the schema
+    in its order, also those no call is in."""
+    return {state.value: sum(1 for c in calls if c.state is state) for state in ToolCallState}
+
+
 def tool(calls: list, events: list, config, notes: list[str]):
     """The partial rate, and rho between each call bucket's p95 latency and
     its quality drop. A bucket's quality is the mean of the tagged events in
@@ -294,7 +300,7 @@ def tool(calls: list, events: list, config, notes: list[str]):
                   else [b - a for a, b in zip(quality, quality[1:])])
         silent = all(detect_silent_degradation(prr, d, config) for d in deltas)
     metadata = {"prr": prr, "rho_lq": rho, "bucket_count": len(quality or ()),
-                "call_counts": count_states(calls), "silent_degradation": silent}
+                "call_counts": state_counts(calls), "silent_degradation": silent}
     if fallback is not None:
         metadata["rho_fallback"] = fallback
         notes.append(f"tool: {fallback}")

@@ -337,6 +337,40 @@ def test_report_bytes_with_notes_and_parse_errors_are_pinned(tmp_path):
     assert (moved, report_path.read_text()) == (code, renumbered) != (code, text)
 
 
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Interpreters that hash strings differently write the same report and
+    exit with the same code, also for pair texts that repeat a token. The
+    pair of 40-token texts collides on some of the embedder's 256 indices,
+    so its similarity would move if a token's index followed the string hash."""
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(MIXED_TRACE + "".join(
+        f'{{"type":"output","category":"c{i * i % 7}","session_id":"s","timestamp":{i},'
+        f'"quality_signal":{i % 10 / 10}}}\n' for i in range(30)
+    ) + "".join(
+        json.dumps({"type": "request_pair", "text_a": a, "text_b": b,
+                    "decision_a": "approve", "decision_b": "approve"}) + "\n"
+        for a, b in [("refund refund my order", "please refund my order order"),
+                     ("my account my account", "close the account now"),
+                     ("order order order", "order"),
+                     (" ".join(map("w{}".format, range(40))),
+                      " ".join(map("w{}".format, range(20, 60))))]
+    ) + '{"type":"tool_call","tool_name":"svc","state":"TIMEOUT","latency_ms":1,"timestamp":3}\n')
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outcomes = []
+    for seed in ("0", "1", "12345"):
+        report = tmp_path / f"r{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "evalgate.cli", "evaluate", "--input", str(trace),
+             "--output", str(report)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}, capture_output=True,
+        )
+        outcomes.append((proc.returncode, report.read_bytes()))
+    document = json.loads(outcomes[0][1])
+    assert len(document["dimensions"]) == 5 and len(document["parse_errors"]) == 3
+    assert outcomes[0][0] in (0, 1)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 def test_a_ten_megabyte_type_or_state_adds_under_a_kilobyte_to_report_and_stderr(tmp_path, capsys):
     trace, report = tmp_path / "t.jsonl", tmp_path / "r.json"
     simulate_to(trace, "fm1", "--variant", "healthy")

@@ -25,6 +25,7 @@ from evalgate.evaluator import StreamDiagnostics, evaluate_records, evaluate_str
 from evalgate.explanation import ProbeContext
 from evalgate.model import (
     AttributionCase,
+    Dimension,
     EvalConfig,
     EvaluationError,
     OutputEvent,
@@ -171,6 +172,26 @@ def test_every_metric_result_holds_unit_floats_and_its_threshold_verdict(inputs,
         assert type(result.score) is float and 0.0 <= result.score <= 1.0
         assert type(result.confidence) is float and 0.0 <= result.confidence <= 1.0
         assert result.passed is (result.score >= config.threshold(dimension))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_streams())
+def test_tool_call_counts_and_partial_rate_are_the_oracles_count(inputs):
+    """TOOL's call_counts equal the oracle's own count of the calls in each
+    state, key order included, and its prr is their PARTIAL count over the
+    number of calls, bit for bit."""
+    records, config, probe = inputs
+    try:
+        report = evaluate_records(iter(records), config, probe_context=probe)
+    except (EvaluationError, TypeError):  # nothing evaluable, or the stray object
+        return
+    calls = [record for record in records if isinstance(record, ToolCallRecord)]
+    tool = report.per_dimension.get(Dimension.TOOL)
+    assert (tool is None) == (not calls)
+    if calls:
+        counts = reference.state_counts(calls)
+        assert list(tool.metadata["call_counts"].items()) == list(counts.items())
+        assert tool.metadata["prr"].hex() == (counts["PARTIAL"] / len(calls)).hex()
 
 
 # --- metamorphic relations ----------------------------------------------------

@@ -5,14 +5,13 @@ from __future__ import annotations
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from evalgate.model import MAX_TICK, EvalConfig, ToolCallRecord, ToolCallState
 from evalgate.reliability import (
     bucket_indices,
-    count_states,
     detect_silent_degradation,
     evaluate_reliability,
     latency_quality_correlation,
@@ -32,7 +31,8 @@ def call(state: ToolCallState, latency: float = 100.0, ts: int = 0) -> ToolCallR
 
 def columns(calls: list[ToolCallRecord]) -> tuple[list[int], list[float], dict[str, int]]:
     """The calls as evaluate_reliability takes them: ticks, latencies, state counts."""
-    return [c.timestamp for c in calls], [c.latency_ms for c in calls], count_states(calls)
+    ticks, latencies = [c.timestamp for c in calls], [c.latency_ms for c in calls]
+    return ticks, latencies, reference.state_counts(calls)
 
 
 def calls_with_partials(total: int, partial: int) -> list[ToolCallRecord]:
@@ -51,6 +51,22 @@ def test_partial_response_rate_values():
 def test_partial_rate_ignores_failed_calls():
     mixed = calls_with_partials(8, 2) + [call(ToolCallState.FAILED, ts=99)]
     assert partial_response_rate(mixed) == pytest.approx(2 / 9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ToolCallState), min_size=1, max_size=60))
+@example([ToolCallState.PARTIAL] * 7)
+@example([ToolCallState.SUCCESS, ToolCallState.FAILED] * 4)
+@example([ToolCallState.PARTIAL])
+@example([ToolCallState.FAILED])
+def test_partial_rate_is_the_partial_count_over_the_state_count_total(states):
+    """Bit for bit the rate computed from the calls per state: their PARTIAL
+    entry over their total."""
+    calls = [call(state, ts=i) for i, state in enumerate(states)]
+    counts = reference.state_counts(calls)
+    expected = counts["PARTIAL"] / sum(counts.values())
+    assert partial_response_rate(calls).hex() == expected.hex()
+    assert evaluate_reliability(*columns(calls), None, CFG).prr.hex() == expected.hex()
 
 
 def test_tool_reliability_score_values():
