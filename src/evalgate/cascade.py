@@ -31,6 +31,7 @@ class CascadeResult(NamedTuple):
     step_confidences: tuple[float, ...]
 
     def metadata(self) -> dict[str, Any]:
+        """Not _asdict(): the entry drops three fields and makes step_confidences a list."""
         return {
             "mean_confidence": self.mean_confidence,
             "cis": self.cis,

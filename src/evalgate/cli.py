@@ -25,8 +25,8 @@ from typing import Any, TextIO
 
 from .evaluator import StreamDiagnostics, evaluate_stream
 from .explanation import ProbeContext
-from .model import (CONFIG_FIELDS, EvalConfig, EvalReport, EvaluationError, ValidationError,
-                    _echo, json_rejection, serialize_trace_record)
+from .model import (CONFIG_FIELDS, EvalConfig, EvalReport, EvaluationError, InputError,
+                    ValidationError, _echo, json_rejection, serialize_trace_record)
 from .simulate import (
     FM5_BASELINE_VALUES,
     FM5_ORIGINAL_VALUES,
@@ -43,10 +43,6 @@ EXIT_ERROR = 2
 STDERR_PARSE_ERRORS = 20
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def load_config(path: str | Path | None) -> EvalConfig:
     """Read a JSON config file, applying defaults for absent keys."""
     if path is None:
@@ -54,23 +50,23 @@ def load_config(path: str | Path | None) -> EvalConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InputError(f"cannot read config {path}: {exc}") from exc
     if not text.strip():
         return EvalConfig()
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {json_rejection(exc)}") from None
+        raise InputError(f"config {path} is not valid JSON: {json_rejection(exc)}") from None
     if not isinstance(payload, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise InputError(f"config {path} must be a JSON object")
 
     for key in payload:
         if key not in CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {_echo(key)}")
+            raise InputError(f"unknown config key {_echo(key)}")
     try:
         return EvalConfig(**{CONFIG_FIELDS[key].name: value for key, value in payload.items()})
     except ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+        raise InputError(f"invalid config: {exc}") from exc
 
 
 def report_document(

@@ -114,17 +114,15 @@ class ConsistencyResult(NamedTuple):
 
     agreement_rate: float
     mean_similarity: float
-    score: float
-    flagged: bool
     pair_count: int
+    flagged: bool
+    score: float
 
     def metadata(self) -> dict[str, Any]:
-        return {
-            "agreement_rate": self.agreement_rate,
-            "mean_similarity": self.mean_similarity,
-            "pair_count": self.pair_count,
-            "flagged": self.flagged,
-        }
+        """Every field but the score, in field order."""
+        metadata = self._asdict()
+        del metadata["score"]
+        return metadata
 
 
 def consistency_score(
@@ -156,7 +154,7 @@ def consistency_score(
     return ConsistencyResult(
         agreement_rate=rate,
         mean_similarity=mean_similarity,
-        score=min(1.0, max(0.0, rate * mean_similarity)),
-        flagged=rate < config.theta_ar,
         pair_count=len(pairs),
+        flagged=rate < config.theta_ar,
+        score=min(1.0, max(0.0, rate * mean_similarity)),
     )

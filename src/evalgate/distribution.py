@@ -28,10 +28,10 @@ class DistributionSnapshot(NamedTuple):
     entropy: float
     diversity: float
     repeat_rate: float
-    score: float
     window_fill: int
     distinct_categories: int
     mean_quality: float | None
+    score: float
 
     def metadata(self) -> dict[str, Any]:
         """Every field but the score, in field order."""
@@ -72,8 +72,8 @@ def snapshot(events: Sequence[OutputEvent], config: EvalConfig) -> DistributionS
         entropy=entropy,
         diversity=diversity,
         repeat_rate=repeat_rate,
-        score=min(1.0, max(0.0, score)),
         window_fill=fill,
         distinct_categories=distinct,
         mean_quality=mean_quality,
+        score=min(1.0, max(0.0, score)),
     )

@@ -252,10 +252,7 @@ def _evaluate_distribution_dimension(windows: _Windows) -> Outcome:
         snapshots = [*snapshots, snapshot(windows.window, config)]
     current = snapshots[-1]
     metadata = current.metadata()
-    metadata["windows"] = [
-        {"window": i + 1, **snap.metadata(), "score": snap.score}
-        for i, snap in enumerate(snapshots)
-    ]
+    metadata["windows"] = [{"window": i, **snap._asdict()} for i, snap in enumerate(snapshots, 1)]
     confidence = current.window_fill / config.window_size
     return current.score, confidence, metadata
 

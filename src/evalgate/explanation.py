@@ -36,22 +36,18 @@ class ProbeContext(NamedTuple):
 
 
 class ExplanationResult(NamedTuple):
-    """One attribution case's score and impacts; equal to a plain tuple of the same values."""
+    """One attribution case's score and the impact of each claimed feature, by
+    name in claimed order; equal to a plain tuple of the same values."""
 
     acs: float
-    impacts: tuple[float, ...]
+    impacts: dict[str, float]
+    top_feature: str
     top_impact: float
     decoupled: bool
-    feature_names: tuple[str, ...]
 
     def metadata(self) -> dict[str, Any]:
-        return {
-            "acs": self.acs,
-            "impacts": {name: delta for name, delta in zip(self.feature_names, self.impacts)},
-            "top_feature": self.feature_names[0],
-            "top_impact": self.top_impact,
-            "decoupled": self.decoupled,
-        }
+        """Every field, in field order."""
+        return self._asdict()
 
 
 def perturbation_impacts(
@@ -117,8 +113,8 @@ def evaluate_explanation(
     top_impact = impacts[0]
     return ExplanationResult(
         acs=acs,
-        impacts=tuple(impacts),
+        impacts=dict(zip(case.feature_names, impacts)),
+        top_feature=case.feature_names[0],
         top_impact=top_impact,
         decoupled=decoupling_flag(acs, top_impact, config),
-        feature_names=case.feature_names,
     )

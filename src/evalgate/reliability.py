@@ -28,23 +28,19 @@ class ReliabilityResult(NamedTuple):
 
     prr: float
     rho_lq: float
-    score: float
-    silent_degradation: bool
-    call_counts: dict[str, int]
     bucket_count: int
+    call_counts: dict[str, int]
+    silent_degradation: bool
+    score: float
     rho_fallback: str | None = None
 
     def metadata(self) -> dict[str, Any]:
-        meta: dict[str, Any] = {
-            "prr": self.prr,
-            "rho_lq": self.rho_lq,
-            "bucket_count": self.bucket_count,
-            "call_counts": dict(self.call_counts),
-            "silent_degradation": self.silent_degradation,
-        }
-        if self.rho_fallback is not None:
-            meta["rho_fallback"] = self.rho_fallback
-        return meta
+        """Every field but the score, in field order; rho_fallback only when set."""
+        metadata = self._asdict()
+        del metadata["score"]
+        if self.rho_fallback is None:
+            del metadata["rho_fallback"]
+        return metadata
 
 
 def partial_response_rate(calls: Sequence[ToolCallRecord]) -> float:
@@ -169,33 +165,27 @@ def evaluate_reliability(
     prr = state_counts[ToolCallState.PARTIAL.value] / sum(state_counts.values())
     rho = 0.0
     fallback: str | None = None
-    bucket_count = 0
+    silent = False
     if quality is None:
         fallback = "no quality signal in window"
     else:
-        bucket_count = len(quality)
         try:
             rho = _latency_quality_rho(ticks, latencies, quality, quality[0])
         except UndefinedStatisticError as exc:
-            rho = 0.0
             fallback = str(exc)
-
-    silent = False
-    if quality is not None and len(quality) >= 2:
-        if config.acc_delta_cumulative:
-            deltas = [quality[-1] - quality[0]]
-        else:
-            deltas = [b - a for a, b in zip(quality, quality[1:])]
-        silent = all(
-            detect_silent_degradation(prr, delta, config) for delta in deltas
-        )
+        if len(quality) >= 2:
+            if config.acc_delta_cumulative:
+                deltas = [quality[-1] - quality[0]]
+            else:
+                deltas = [b - a for a, b in zip(quality, quality[1:])]
+            silent = all(detect_silent_degradation(prr, delta, config) for delta in deltas)
 
     return ReliabilityResult(
         prr=prr,
         rho_lq=rho,
-        score=tool_reliability_score(prr, rho),
-        silent_degradation=silent,
+        bucket_count=len(quality or ()),
         call_counts=state_counts,
-        bucket_count=bucket_count,
+        silent_degradation=silent,
+        score=tool_reliability_score(prr, rho),
         rho_fallback=fallback,
     )

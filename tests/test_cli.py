@@ -24,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalgate import cli
-from evalgate.cli import ConfigError, load_config, main
+from evalgate.cli import load_config, main
 from evalgate.evaluator import evaluate_stream
-from evalgate.model import EvalConfig, EvaluationError, StepResult, serialize_trace_record
+from evalgate.model import (EvalConfig, EvaluationError, InputError, StepResult,
+                            serialize_trace_record)
 from evalgate.simulate import FM1_VARIANTS, SCENARIO_VARIANTS, ScenarioSpec, generate
 
 
@@ -535,22 +536,25 @@ def test_load_config_lambda_key():
 def test_load_config_rejects_simplex_violation(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"alpha": 0.6, "beta": 0.3, "gamma": 0.3}')
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(InputError, match="alpha") as rejected:
         load_config(path)
+    assert type(rejected.value) is InputError
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"thresold": 0.5}')
-    with pytest.raises(ConfigError, match="thresold"):
+    with pytest.raises(InputError, match="thresold") as rejected:
         load_config(path)
+    assert type(rejected.value) is InputError
 
 
 def test_load_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
-    with pytest.raises(ConfigError, match="JSON"):
+    with pytest.raises(InputError, match="JSON") as rejected:
         load_config(path)
+    assert type(rejected.value) is InputError
 
 
 def test_invalid_config_exits_two(tmp_path):

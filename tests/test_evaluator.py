@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import reference
 from evalgate import evaluator, model
+from evalgate.consistency import ConsistencyResult
+from evalgate.distribution import DistributionSnapshot
 from evalgate.evaluator import aggregate, evaluate_records, evaluate_stream, split_pipelines
-from evalgate.explanation import ProbeContext
+from evalgate.explanation import ExplanationResult, ProbeContext
 from evalgate.model import (
     AttributionCase,
     Dimension,
@@ -28,6 +30,7 @@ from evalgate.model import (
     ToolCallState,
     serialize_trace_record,
 )
+from evalgate.reliability import ReliabilityResult
 from evalgate.simulate import (
     FM5_BASELINE_VALUES,
     FM5_ORIGINAL_VALUES,
@@ -69,6 +72,26 @@ def test_fm3_stream_reports_window_trajectory():
     assert result.metadata["diversity"] == 0.030
     assert result.confidence == 1.0
     assert not result.passed
+
+
+@pytest.mark.parametrize("result", [
+    ReliabilityResult(0.25, 0.5, 10, {"SUCCESS": 3, "PARTIAL": 1}, True, 0.375),
+    ReliabilityResult(0.25, 0.0, 0, {"SUCCESS": 3, "PARTIAL": 1}, False, 0.75,
+                      "no quality signal in window"),
+    ConsistencyResult(0.5, 0.75, 4, True, 0.375),
+    ExplanationResult(0.25, {"a": 0.5, "b": 0.125}, "a", 0.5, False),
+    DistributionSnapshot(0.5, 0.25, 0.75, 3, 2, None, 0.4),
+], ids=["ReliabilityResult", "ReliabilityResult-rho_fallback", "ConsistencyResult",
+        "ExplanationResult", "DistributionSnapshot"])
+def test_a_dimension_entry_is_its_fields_in_order_but_the_score(result):
+    """The report entry is every field in field order, less the score and an
+    absent rho_fallback (a None mean_quality stays); each value is the field's own."""
+    metadata = result.metadata()
+    assert list(metadata) == [
+        name for name in result._fields
+        if name != "score" and not (name == "rho_fallback" and result.rho_fallback is None)
+    ]
+    assert all(value is getattr(result, name) for name, value in metadata.items())
 
 
 def test_unconsumed_extra_records_do_not_change_scores():

@@ -81,14 +81,14 @@ def _value_objects():
     return [
         CascadeResult(mean_confidence=0.9, cis=0.0, score=0.9, raw_score=0.9,
                       propagation_failure=False, failure_index=None, step_confidences=(0.9,)),
-        ReliabilityResult(prr=0.1, rho_lq=0.2, score=0.8, silent_degradation=False,
-                          call_counts={"SUCCESS": 9}, bucket_count=10),
-        DistributionSnapshot(entropy=1.0, diversity=0.5, repeat_rate=0.5, score=0.7,
-                             window_fill=4, distinct_categories=2, mean_quality=None),
-        ExplanationResult(acs=1.0, impacts=(0.3,), top_impact=0.3, decoupled=False,
-                          feature_names=("a",)),
-        ConsistencyResult(agreement_rate=1.0, mean_similarity=0.9, score=0.9, flagged=False,
-                          pair_count=2),
+        ReliabilityResult(prr=0.1, rho_lq=0.2, bucket_count=10, call_counts={"SUCCESS": 9},
+                          silent_degradation=False, score=0.8),
+        DistributionSnapshot(entropy=1.0, diversity=0.5, repeat_rate=0.5, window_fill=4,
+                             distinct_categories=2, mean_quality=None, score=0.7),
+        ExplanationResult(acs=1.0, impacts={"a": 0.3}, top_feature="a", top_impact=0.3,
+                          decoupled=False),
+        ConsistencyResult(agreement_rate=1.0, mean_similarity=0.9, pair_count=2, flagged=False,
+                          score=0.9),
         context,
         MetricResult(score=0.5, confidence=1.0, passed=False, metadata={}),
         EvalReport(per_dimension={}, overall_score=1.0, passed=True),
