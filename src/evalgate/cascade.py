@@ -13,10 +13,7 @@ from collections.abc import Sequence
 from typing import Any, NamedTuple
 
 from .model import EvalConfig, StepResult
-
-
-class InsufficientTraceError(ValueError):
-    """Raised when a pipeline trace is too short to evaluate."""
+from .stats import UndefinedStatisticError
 
 
 class CascadeResult(NamedTuple):
@@ -50,7 +47,7 @@ def evaluate_cascade(steps: Sequence[StepResult], config: EvalConfig) -> Cascade
     """
     n = len(steps)
     if n < 2:
-        raise InsufficientTraceError(f"cascade evaluation needs >= 2 steps, got {n}")
+        raise UndefinedStatisticError(f"cascade evaluation needs >= 2 steps, got {n}")
     confidences = tuple(step.confidence for step in steps)
 
     mean_confidence = math.fsum(confidences) / n

@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterable, MutableSequence, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from .cascade import CascadeResult, InsufficientTraceError, evaluate_cascade
+from .cascade import CascadeResult, evaluate_cascade
 from .consistency import EmbeddingProvider, HashEmbeddingProvider, consistency_score
 from .distribution import DistributionSnapshot, snapshot
 from .explanation import ExplanationResult, ProbeContext, evaluate_explanation
@@ -118,7 +118,7 @@ class _Cascade:
         pipeline, self.pipeline = self.pipeline, []
         try:
             result = evaluate_cascade(pipeline, self.config)
-        except InsufficientTraceError as exc:
+        except UndefinedStatisticError as exc:
             self.notes.append(f"cascade: {exc}")
             return
         self.total += result.score
@@ -265,10 +265,11 @@ def _evaluate_explanation_dimension(
     """Mean ACS over the cases; the worst case's metadata.
 
     The probe context is fixed for the call, so a case's impacts depend only
-    on its feature names, and ACS sees the claimed weights only through their
-    fractional ranks. Those follow from the number of weights below each
-    weight, its first position among the sorted weights, which equal weights
-    share. So each distinct (feature names, positions) is scored once, with
+    on its feature names, and ACS sees the claimed weights only through
+    stats.fractional_ranks, which reads each rank from the weight's first and
+    last positions among the sorted weights. The first positions fix the last
+    ones, as a run of equal weights ends where the next begins. So each
+    distinct (feature names, first positions) is scored once, with
     one probe determinism re-check, and every case that repeats it reuses the
     result. The memo is local to the call: another call may bring another
     probe.

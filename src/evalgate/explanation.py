@@ -10,7 +10,7 @@ prediction: a correct decision wearing the wrong explanation.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any, NamedTuple, Protocol
 
 from .model import AttributionCase, EvalConfig, EvaluationError, ValidationError, _echo
@@ -91,8 +91,8 @@ def perturbation_impacts(
     return impacts
 
 
-def attribution_consistency(claimed: list[float], impacts: list[float]) -> float:
-    """(spearman(claimed, impacts) + 1) / 2, over two lists of equal length >= 2."""
+def attribution_consistency(claimed: Sequence[float], impacts: Sequence[float]) -> float:
+    """(spearman(claimed, impacts) + 1) / 2, over two sequences of equal length >= 2."""
     return (spearman(claimed, impacts) + 1.0) / 2.0
 
 
@@ -109,7 +109,7 @@ def evaluate_explanation(
     config: EvalConfig,
 ) -> ExplanationResult:
     impacts = perturbation_impacts(probe, case, baseline_values, original_values)
-    acs = attribution_consistency(list(case.claimed_weights), impacts)
+    acs = attribution_consistency(case.claimed_weights, impacts)
     top_impact = impacts[0]
     return ExplanationResult(
         acs=acs,

@@ -8,6 +8,7 @@ sequential_sum, which adds in input order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from operator import add, mul
@@ -92,19 +93,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def fractional_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks; ties receive the mean of the tied rank positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = mean_rank
-        i = j + 1
-    return ranks
+    """1-based ranks; ties receive the mean of the tied rank positions, which
+    run from a value's first to its last position among the sorted values."""
+    ordered = sorted(values)
+    return [(bisect_left(ordered, v) + bisect_right(ordered, v) + 1) / 2 for v in values]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:

@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import add
 from typing import Any
 
-from evalgate.cascade import InsufficientTraceError, evaluate_cascade
+from evalgate.cascade import evaluate_cascade
 from evalgate.explanation import evaluate_explanation
 from evalgate.model import (RECORD_TYPES, Dimension, EvaluationError, ToolCallState,
                             TraceParseError, ValidationError)
@@ -240,7 +240,7 @@ def cascade(steps: list, config, notes: list[str]):
     for pipeline in pipelines:
         try:
             results.append(evaluate_cascade(pipeline, config))
-        except InsufficientTraceError as exc:
+        except UndefinedStatisticError as exc:
             notes.append(f"cascade: {exc}")
     if not results:
         return None

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalgate.cascade import InsufficientTraceError, evaluate_cascade
+from evalgate.cascade import evaluate_cascade
 from evalgate.model import EvalConfig, StepResult
+from evalgate.stats import UndefinedStatisticError
 
 CFG = EvalConfig()
 
@@ -60,9 +61,9 @@ def test_terminal_step_cannot_propagate():
 
 
 def test_needs_at_least_two_steps():
-    with pytest.raises(InsufficientTraceError):
+    with pytest.raises(UndefinedStatisticError):
         evaluate_cascade(steps(0.9), CFG)
-    with pytest.raises(InsufficientTraceError):
+    with pytest.raises(UndefinedStatisticError):
         evaluate_cascade([], CFG)
 
 

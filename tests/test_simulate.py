@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from evalgate import cli
 from evalgate.model import EvalConfig, OutputEvent, parse_trace_record, serialize_trace_record
 from evalgate.distribution import snapshot
 from evalgate.reliability import partial_response_rate
@@ -33,6 +34,30 @@ ALL_SPECS = [
     ScenarioSpec("fm5", seed=42, variant="proxy_first"),
     ScenarioSpec("fm5", seed=42, variant="proxy_second"),
 ]
+
+
+# Whether the trace and the report change between seeds 42 and 7, as README's
+# paragraph after the Scenarios list states: fm1 draws nothing, fm2's draws
+# and fm5's noise never reach the report, and fm3's do.
+SEED_REACHES = {"fm1": (False, False), "fm2": (True, False), "fm3": (True, True),
+                "fm5": (True, False)}
+
+
+@pytest.mark.parametrize("scenario, variant", [(s, v) for s, vs in SCENARIO_VARIANTS.items()
+                                               for v in vs])
+def test_the_seed_reaches_the_trace_and_report_that_the_readme_says(tmp_path, capsys,
+                                                                    scenario, variant):
+    runs = []
+    for seed in (42, 7):
+        trace, report = tmp_path / f"{seed}.jsonl", tmp_path / f"{seed}.json"
+        assert cli.main(["simulate", "--scenario", scenario, "--variant", variant,
+                         "--seed", str(seed), "--output", str(trace)]) == 0
+        code = cli.main(["evaluate", "--input", str(trace), "--output", str(report)])
+        runs.append((trace.read_bytes(), report.read_bytes(), code))
+    capsys.readouterr()
+    (trace_42, report_42, code_42), (trace_7, report_7, code_7) = runs
+    assert code_42 == code_7
+    assert (trace_42 != trace_7, report_42 != report_7) == SEED_REACHES[scenario]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.scenario}-{s.variant or 'base'}")

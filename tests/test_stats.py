@@ -275,6 +275,49 @@ def test_fractional_ranks_average_ties():
     assert fractional_ranks([10.0, 20.0, 10.0, 30.0]) == [1.5, 3.0, 1.5, 4.0]
 
 
+# A pool of a few values, drawn from again and again so ties are common: both
+# zeros, small ints, the smallest subnormal, and values near +/-1e300.
+rank_pools = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 0, 1, -1, 5e-324, -5e-324, 1e300, -1e300]),
+        st.integers(-3, 3),
+        st.floats(-2.3e-308, 2.3e-308),
+        st.floats(9e299, 1.1e300) | st.floats(-1.1e300, -9e299),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rank_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=30)))
+def test_fractional_ranks_match_scipy_rankdata_bit_for_bit(values):
+    expected = scipy_stats.rankdata(values, method="average")
+    assert [*map(float.hex, fractional_ranks(values))] == [*map(float.hex, expected)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rank_pools.map(lambda pool: [abs(v) for v in pool]).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=12)
+).map(lambda w: sorted(w, reverse=True)), st.data())
+def test_the_explanation_memo_key_fixes_the_fractional_ranks(weights, data):
+    # The EXPLANATION memo keys a case's non-increasing claimed weights on each
+    # weight's first position among the sorted weights.
+    def key(w):
+        return (*map(sorted(w).index, w),)
+
+    positions, ranks = key(weights), fractional_ranks(weights)
+    assert ranks == [k + (positions.count(k) + 1) / 2 for k in positions]
+    # Other weights with the same ties in the same places share the key and the ranks.
+    distinct = sorted(set(weights))
+    others = sorted(data.draw(st.lists(st.floats(0, 1e6), min_size=len(distinct),
+                                       max_size=len(distinct), unique=True)))
+    other = [others[distinct.index(w)] for w in weights]
+    assert key(other) == positions
+    assert fractional_ranks(other) == ranks
+
+
 # --- differential check of cosine_similarity against the oracle, on sparse
 # vectors (zeros of either sign), lists or tuples ---
 
