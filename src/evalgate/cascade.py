@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .model import EvalConfig, StepResult
 from .stats import UndefinedStatisticError
@@ -26,15 +26,6 @@ class CascadeResult(NamedTuple):
     propagation_failure: bool
     failure_index: int | None
     step_confidences: tuple[float, ...]
-
-    def metadata(self) -> dict[str, Any]:
-        """Not _asdict(): the entry drops three fields and makes step_confidences a list."""
-        return {
-            "mean_confidence": self.mean_confidence,
-            "cis": self.cis,
-            "failure_index": self.failure_index,
-            "step_confidences": list(self.step_confidences),
-        }
 
 
 def evaluate_cascade(steps: Sequence[StepResult], config: EvalConfig) -> CascadeResult:

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from operator import attrgetter, eq
-from typing import Any, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 from .model import EvalConfig, EvaluationError, RequestPair, _echo
 from .stats import UndefinedStatisticError, cosine_similarity
@@ -117,12 +117,6 @@ class ConsistencyResult(NamedTuple):
     pair_count: int
     flagged: bool
     score: float
-
-    def metadata(self) -> dict[str, Any]:
-        """Every field but the score, in field order."""
-        metadata = self._asdict()
-        del metadata["score"]
-        return metadata
 
 
 def consistency_score(

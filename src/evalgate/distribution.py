@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from itertools import islice
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .model import EvalConfig, OutputEvent
 from .stats import normalized_entropy
@@ -32,12 +32,6 @@ class DistributionSnapshot(NamedTuple):
     distinct_categories: int
     mean_quality: float | None
     score: float
-
-    def metadata(self) -> dict[str, Any]:
-        """Every field but the score, in field order."""
-        metadata = self._asdict()
-        del metadata["score"]
-        return metadata
 
 
 def snapshot(events: Sequence[OutputEvent], config: EvalConfig) -> DistributionSnapshot:

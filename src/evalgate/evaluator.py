@@ -51,6 +51,7 @@ from .model import (
     TraceParseError,
     TraceRecord,
     parse_trace_record,
+    report_entry,
 )
 from .reliability import LATENCY_BUCKET_COUNT, bucket_indices, evaluate_reliability
 from .stats import UndefinedStatisticError, sequential_sum
@@ -195,12 +196,15 @@ def _evaluate_cascade_dimension(
     cascade: _Cascade, diagnostics: StreamDiagnostics
 ) -> Outcome | None:
     """Close the open pipeline, which holds at least the last step; the mean
-    score and the worst pipeline's metadata."""
+    score and four of the worst pipeline's fields, step_confidences as a list."""
     cascade.close()
     diagnostics.evaluation_notes.extend(cascade.notes)
-    if cascade.worst is None:
+    worst = cascade.worst
+    if worst is None:
         return None
-    return cascade.total / cascade.count, 1.0, cascade.worst.metadata()
+    return cascade.total / cascade.count, 1.0, {
+        "mean_confidence": worst.mean_confidence, "cis": worst.cis,
+        "failure_index": worst.failure_index, "step_confidences": list(worst.step_confidences)}
 
 
 def _quality_series_for_calls(
@@ -238,9 +242,12 @@ def _evaluate_tool_dimension(
     quality = _quality_series_for_calls(tool.ticks, tool.quality_ticks, tool.qualities)
     tool.quality_ticks = tool.qualities = []  # freed before the calls are bucketed
     result = evaluate_reliability(tool.ticks, tool.latencies, tool.states, quality, config)
-    if result.rho_fallback is not None:
+    entry = report_entry(result)
+    if result.rho_fallback is None:
+        del entry["rho_fallback"]
+    else:
         diagnostics.evaluation_notes.append(f"tool: {result.rho_fallback}")
-    return result.score, min(1.0, len(tool.ticks) / config.window_size), result.metadata()
+    return result.score, min(1.0, len(tool.ticks) / config.window_size), entry
 
 
 def _evaluate_distribution_dimension(windows: _Windows) -> Outcome:
@@ -251,7 +258,7 @@ def _evaluate_distribution_dimension(windows: _Windows) -> Outcome:
     if windows.seen % config.window_size:
         snapshots = [*snapshots, snapshot(windows.window, config)]
     current = snapshots[-1]
-    metadata = current.metadata()
+    metadata = report_entry(current)
     metadata["windows"] = [{"window": i, **snap._asdict()} for i, snap in enumerate(snapshots, 1)]
     confidence = current.window_fill / config.window_size
     return current.score, confidence, metadata
@@ -299,14 +306,14 @@ def _evaluate_explanation_dimension(
         results.append(result)
     score = sequential_sum(r.acs for r in results) / len(results)
     worst = min(results, key=lambda r: r.acs)
-    return score, 1.0, worst.metadata()
+    return score, 1.0, report_entry(worst)
 
 
 def _evaluate_consistency_dimension(
     pairs: Sequence[RequestPair], provider: EmbeddingProvider, config: EvalConfig
 ) -> Outcome:
     result = consistency_score(pairs, provider, config)
-    return result.score, 1.0, result.metadata()
+    return result.score, 1.0, report_entry(result)
 
 
 def _folds(

@@ -11,7 +11,7 @@ prediction: a correct decision wearing the wrong explanation.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import Any, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 from .model import AttributionCase, EvalConfig, EvaluationError, ValidationError, _echo
 from .stats import spearman
@@ -44,10 +44,6 @@ class ExplanationResult(NamedTuple):
     top_feature: str
     top_impact: float
     decoupled: bool
-
-    def metadata(self) -> dict[str, Any]:
-        """Every field, in field order."""
-        return self._asdict()
 
 
 def perturbation_impacts(

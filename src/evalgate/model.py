@@ -264,6 +264,13 @@ class MetricResult(NamedTuple):
     metadata: dict[str, Any]
 
 
+def report_entry(result: Any) -> dict[str, Any]:
+    """A dimension result's metadata: every field but score, in field order."""
+    entry = result._asdict()
+    entry.pop("score", None)
+    return entry
+
+
 class EvalReport(NamedTuple):
     """Per-dimension results, the aggregate score, and the gate verdict;
     equal to a plain tuple of the same values."""

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import repeat
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .model import EvalConfig, ToolCallRecord, ToolCallState
 from .stats import UndefinedStatisticError, pearson
@@ -33,14 +33,6 @@ class ReliabilityResult(NamedTuple):
     silent_degradation: bool
     score: float
     rho_fallback: str | None = None
-
-    def metadata(self) -> dict[str, Any]:
-        """Every field but the score, in field order; rho_fallback only when set."""
-        metadata = self._asdict()
-        del metadata["score"]
-        if self.rho_fallback is None:
-            del metadata["rho_fallback"]
-        return metadata
 
 
 def partial_response_rate(calls: Sequence[ToolCallRecord]) -> float:

@@ -245,7 +245,9 @@ def cascade(steps: list, config, notes: list[str]):
     if not results:
         return None
     worst = min(results, key=lambda r: r.score)
-    return left_to_right([r.score for r in results]) / len(results), 1.0, worst.metadata()
+    return left_to_right([r.score for r in results]) / len(results), 1.0, dict(
+        mean_confidence=worst.mean_confidence, cis=worst.cis, failure_index=worst.failure_index,
+        step_confidences=list(worst.step_confidences))
 
 
 def bucket_indices(ticks: list[int], bucket_count: int, lo: int | None = None,
@@ -349,7 +351,9 @@ def explanation(cases: list, probe_context, config):
     probe, original, baseline = probe_context
     results = [evaluate_explanation(probe, case, baseline, original, config) for case in cases]
     worst = min(results, key=lambda r: r.acs)
-    return left_to_right([r.acs for r in results]) / len(results), 1.0, worst.metadata()
+    return left_to_right([r.acs for r in results]) / len(results), 1.0, dict(
+        acs=worst.acs, impacts=worst.impacts, top_feature=worst.top_feature,
+        top_impact=worst.top_impact, decoupled=worst.decoupled)
 
 
 def consistency(pairs: list, config, dimension: int = 256):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalgate.cascade import evaluate_cascade
-from evalgate.model import EvalConfig, StepResult
+from evalgate.evaluator import evaluate_records
+from evalgate.model import Dimension, EvalConfig, StepResult
 from evalgate.stats import UndefinedStatisticError
 
 CFG = EvalConfig()
@@ -68,11 +69,13 @@ def test_needs_at_least_two_steps():
 
 
 def test_metadata_keys():
+    """CASCADE's entry holds four of the worst pipeline's fields, in this order."""
     result = evaluate_cascade(steps(0.31, 0.9, 0.9), CFG)
-    assert set(result.metadata()) == {
-        "mean_confidence", "cis", "failure_index", "step_confidences",
-    }
-    assert result.metadata()["step_confidences"] == [0.31, 0.9, 0.9]
+    report = evaluate_records(steps(0.31, 0.9, 0.9), CFG)
+    assert list(report.per_dimension[Dimension.CASCADE].metadata.items()) == [
+        ("mean_confidence", result.mean_confidence), ("cis", result.cis),
+        ("failure_index", 1), ("step_confidences", [0.31, 0.9, 0.9]),
+    ]
 
 
 confidences_strategy = st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=12)

@@ -18,7 +18,7 @@ from evalgate.cli import main
 from evalgate import consistency
 from evalgate.consistency import HashEmbeddingProvider, consistency_score
 from evalgate.evaluator import _evaluate_consistency_dimension
-from evalgate.model import EvalConfig, EvaluationError, RequestPair
+from evalgate.model import EvalConfig, EvaluationError, RequestPair, report_entry
 from evalgate.stats import cosine_similarity
 
 CFG = EvalConfig()
@@ -91,7 +91,7 @@ def test_flag_follows_theta_ar_only():
 
 def test_metadata_keys():
     result = consistency_score([pair("a", "a")], PROVIDER, CFG)
-    assert set(result.metadata()) == {
+    assert set(report_entry(result)) == {
         "agreement_rate", "mean_similarity", "pair_count", "flagged",
     }
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 from evalgate.distribution import snapshot
 from evalgate.evaluator import _evaluate_distribution_dimension, _ToolColumns, _Windows
-from evalgate.model import EvalConfig, OutputEvent
+from evalgate.model import EvalConfig, OutputEvent, report_entry
 from evalgate.stats import normalized_entropy
 
 CFG = EvalConfig()
@@ -104,7 +104,7 @@ def test_mean_quality_averages_tagged_events_only():
 
 def test_metadata_keys():
     snap = snapshot(outputs(["a", "b"]), CFG)
-    assert set(snap.metadata()) == {
+    assert set(report_entry(snap)) == {
         "entropy", "diversity", "repeat_rate", "window_fill",
         "distinct_categories", "mean_quality",
     }

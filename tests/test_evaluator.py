@@ -15,7 +15,13 @@ import reference
 from evalgate import evaluator, model
 from evalgate.consistency import ConsistencyResult
 from evalgate.distribution import DistributionSnapshot
-from evalgate.evaluator import aggregate, evaluate_records, evaluate_stream, split_pipelines
+from evalgate.evaluator import (
+    StreamDiagnostics,
+    aggregate,
+    evaluate_records,
+    evaluate_stream,
+    split_pipelines,
+)
 from evalgate.explanation import ExplanationResult, ProbeContext
 from evalgate.model import (
     AttributionCase,
@@ -84,14 +90,28 @@ def test_fm3_stream_reports_window_trajectory():
 ], ids=["ReliabilityResult", "ReliabilityResult-rho_fallback", "ConsistencyResult",
         "ExplanationResult", "DistributionSnapshot"])
 def test_a_dimension_entry_is_its_fields_in_order_but_the_score(result):
-    """The report entry is every field in field order, less the score and an
-    absent rho_fallback (a None mean_quality stays); each value is the field's own."""
-    metadata = result.metadata()
-    assert list(metadata) == [
-        name for name in result._fields
-        if name != "score" and not (name == "rho_fallback" and result.rho_fallback is None)
-    ]
+    """model.report_entry is every field in field order less the score (a None
+    field stays: TOOL's finish step alone drops rho_fallback); each value is the
+    field's own."""
+    metadata = model.report_entry(result)
+    assert list(metadata) == [name for name in result._fields if name != "score"]
     assert all(value is getattr(result, name) for name, value in metadata.items())
+
+
+def test_tool_entry_names_rho_fallback_only_when_it_is_set():
+    calls = [ToolCallRecord("svc", "PARTIAL" if i % 4 == 0 else "SUCCESS", 10.0 + i * i, i)
+             for i in range(40)]
+    events = [OutputEvent("c", "s", i, 1.0 - i / 100) for i in range(40)]
+    keys = ["prr", "rho_lq", "bucket_count", "call_counts", "silent_degradation"]
+    diagnostics = StreamDiagnostics()
+    alone = evaluate_records(calls, CFG, diagnostics=diagnostics).per_dimension[Dimension.TOOL]
+    assert list(alone.metadata) == [*keys, "rho_fallback"]
+    assert alone.metadata["rho_fallback"] == "no quality signal in window"
+    assert diagnostics.evaluation_notes == ["tool: no quality signal in window"]
+    diagnostics = StreamDiagnostics()
+    tagged = evaluate_records(calls + events, CFG, diagnostics=diagnostics)
+    assert list(tagged.per_dimension[Dimension.TOOL].metadata) == keys
+    assert diagnostics.evaluation_notes == []
 
 
 def test_unconsumed_extra_records_do_not_change_scores():

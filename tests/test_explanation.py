@@ -12,7 +12,8 @@ from evalgate.explanation import (
     evaluate_explanation,
     perturbation_impacts,
 )
-from evalgate.model import AttributionCase, EvalConfig, EvaluationError, ValidationError
+from evalgate.model import (AttributionCase, EvalConfig, EvaluationError, ValidationError,
+                            report_entry)
 from evalgate.simulate import LinearProbe
 
 CFG = EvalConfig()
@@ -122,7 +123,7 @@ def test_causally_ordered_linear_case_is_clean():
 
 def test_metadata_shape():
     result = evaluate_explanation(PROBE, case(("geo", "velocity", "device")), ZEROS, ONES, CFG)
-    meta = result.metadata()
+    meta = report_entry(result)
     assert set(meta) == {"acs", "impacts", "top_feature", "top_impact", "decoupled"}
     assert meta["top_feature"] == "geo"
     assert meta["impacts"]["velocity"] == pytest.approx(0.55, abs=1e-12)

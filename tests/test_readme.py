@@ -1,7 +1,8 @@
-"""README's Configuration table, Scenarios list, trace examples and stated
-limits against the code they document: the config-key map with EvalConfig()'s
-defaults, the scenario table's variants, each record's fields, the echo, memo
-and tick bounds, and the public API."""
+"""README's Configuration table, Report table, Scenarios list, trace examples
+and stated limits against the code they document: the config-key map with
+EvalConfig()'s defaults, each dimension's report keys, the scenario table's
+variants, each record's fields, the echo, memo and tick bounds, and the public
+API."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import re
 from pathlib import Path
 
 import evalgate
+from evalgate.cli import main
 from evalgate.consistency import _MEMO_ENTRIES
 from evalgate.model import _ECHO_CHARS, CONFIG_FIELDS, MAX_TICK, RECORD_TYPES, EvalConfig
 from evalgate.simulate import SCENARIO_VARIANTS
@@ -65,6 +67,30 @@ def test_each_trace_format_example_has_exactly_the_fields_of_its_type():
     assert [example["type"] for example in examples] == list(RECORD_TYPES)
     for example in examples:
         assert list(example)[1:] == list(RECORD_TYPES[example["type"]].__slots__), example
+
+
+def test_the_report_table_lists_each_dimensions_metadata_keys_in_order(tmp_path):
+    """Trace format's examples and a second step score all five dimensions,
+    with TOOL's rho_fallback set (one call gives one latency bucket)."""
+    block = section("Trace format").split("```jsonl\n", 1)[1].split("```", 1)[0]
+    step = json.dumps({"type": "step", "step_index": 2, "step_name": "x", "confidence": 0.9})
+    trace, output = tmp_path / "trace.jsonl", tmp_path / "report.json"
+    trace.write_text(f"{block}{step}\n", encoding="utf-8")
+    assert main(["evaluate", "--input", str(trace), "--output", str(output)]) == 1
+    report = json.loads(output.read_text(encoding="utf-8"))
+    text = section("Report")
+    report_keys, entry_keys = (re.findall(r"`(\w+)`", part.partition(". ")[0])
+                               for part in text.split("with the keys")[1:])
+    assert list(report) == report_keys
+    rows = re.findall(r"^\| ([^|]+) \| ([^|]+) \|$", text, re.M)
+    assert rows[0] == ("Dimension", "`metadata` keys")
+    keys = {row: re.findall(r"`(\w+)`", cell) for row, cell in rows[1:]}
+    dimensions = report["dimensions"]
+    assert all(list(entry) == entry_keys for entry in dimensions.values())
+    windows = dimensions["DISTRIBUTION"]["metadata"]["windows"]
+    assert keys.pop("each entry of `windows`") == list(windows[0])
+    assert keys == {f"`{name}`": list(entry["metadata"]) for name, entry in dimensions.items()}
+    assert "`rho_fallback` (present only when set)" in text
 
 
 def test_the_stated_echo_memo_and_tick_limits_are_the_codes():

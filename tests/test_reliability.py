@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from evalgate.model import MAX_TICK, EvalConfig, ToolCallRecord, ToolCallState
+from evalgate.model import MAX_TICK, EvalConfig, ToolCallRecord, ToolCallState, report_entry
 from evalgate.reliability import (
     bucket_indices,
     detect_silent_degradation,
@@ -183,7 +183,7 @@ def test_evaluate_reliability_assembles_metadata():
     assert result.score == pytest.approx(
         1 - result.prr * (1 + max(result.rho_lq, 0.0)), abs=1e-15
     )
-    meta = result.metadata()
+    meta = report_entry(result)
     assert {"prr", "rho_lq", "bucket_count", "call_counts", "silent_degradation"} <= set(meta)
 
 
