@@ -87,8 +87,14 @@ class HashEmbeddingProvider:
     def _similarities(self, pairs: Iterable[tuple[str, str]]) -> list[float]:
         """cosine_similarity(embed(a), embed(b)) for each (a, b), bit for bit, from the index sets.
 
-        With no index collision in either text every count is 1, so each fsum
-        of cosine_similarity adds m copies of one product: one float multiply.
+        When at most one index of a text is counted twice, its counts are 1 and
+        2, powers of two, so each entry count / norm is exactly count * w with
+        w = 1 / sqrt(n + 2r), for n tokens and r = len(a) - len(set(a)) repeats,
+        and each term of an fsum of cosine_similarity is an integer times one
+        product. fsum rounds the exact sum once, so each sum is one float
+        multiply: su = (n + 2r) * (w * w) and dot = D * (wa * wb), where D sums
+        count_a * count_b over the shared indices; the repeated index is
+        sum(a) - sum(set(a)). Texts with more repeats sum over _unit_counts.
         Equal vectors need no identity check: their dot equals su and sv, within
         a few ulps of 1, where dot / (sqrt(su) * sqrt(sv)) is never below 1.0.
         """
@@ -97,10 +103,19 @@ class HashEmbeddingProvider:
         for text_a, text_b in pairs:
             a, b = indices(text_a), indices(text_b)
             set_a, set_b = set(a), set(b)
-            if len(set_a) == len(a) and len(set_b) == len(b):
-                wa, wb = 1.0 / sqrt(len(a)), 1.0 / sqrt(len(b))
-                su, sv = len(a) * (wa * wa), len(b) * (wb * wb)
-                dot = len(set_a & set_b) * (wa * wb)
+            ra, rb = len(a) - len(set_a), len(b) - len(set_b)
+            if ra < 2 and rb < 2:
+                qa, qb = len(a) + 2 * ra, len(b) + 2 * rb
+                wa, wb = 1.0 / sqrt(qa), 1.0 / sqrt(qb)
+                su, sv = qa * (wa * wa), qb * (wb * wb)
+                shared = len(set_a & set_b)
+                if ra:
+                    xa = sum(a) - sum(set_a)
+                    shared += xa in set_b
+                if rb:
+                    xb = sum(b) - sum(set_b)
+                    shared += (xb in set_a) + (ra and xa == xb)
+                dot = shared * (wa * wb)
             else:
                 u, v = self._unit_counts(a), self._unit_counts(b)
                 su, sv = fsum(x * x for x in u.values()), fsum(x * x for x in v.values())
@@ -129,6 +144,8 @@ def consistency_score(
     Disagreeing pairs still contribute to the similarity mean. The flag
     fires on agreement rate alone, against theta_ar.
     """
+    if not pairs:
+        raise UndefinedStatisticError("consistency evaluation needs >= 1 request pair, got 0")
     if type(provider) is HashEmbeddingProvider:
         similarities = provider._similarities(map(attrgetter("text_a", "text_b"), pairs))
     else:

@@ -19,7 +19,7 @@ from evalgate import consistency
 from evalgate.consistency import HashEmbeddingProvider, consistency_score
 from evalgate.evaluator import _evaluate_consistency_dimension
 from evalgate.model import EvalConfig, EvaluationError, RequestPair, report_entry
-from evalgate.stats import cosine_similarity
+from evalgate.stats import UndefinedStatisticError, cosine_similarity
 
 CFG = EvalConfig()
 PROVIDER = HashEmbeddingProvider()
@@ -246,6 +246,9 @@ TOKENS = ["a", "A", "b", "vault", "Vault", "VAULT", "İ", "i̇", "ß", "SS", "ss
           "fi", "é", "e\u0301", "請", "x1", "x2", "x3", "x4", "x5", "x6", "x7"]
 SEPARATORS = [" ", "  ", "\t", "\n", " \u3000 "]
 BLANK_TEXTS = ["", " ", "\t\n", "\u3000", "   "]
+# Appended to text_a and text_b: no repeat; a repeat in one text, on an index the
+# other text lacks or holds once; repeats in both, on different indices or on one.
+REPEATS = [("", ""), (" z1 z1", ""), (" z1 z1", " z1"), (" z1 z1", " z2 z2"), (" z1 z1", " Z1 z1")]
 
 
 @st.composite
@@ -260,12 +263,21 @@ def text_pairs(draw):
         st.just(f"{text_a} {tokens[0]}"), st.just(f"{text_a} y1 y2"), st.sampled_from(BLANK_TEXTS),
         st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12).map(" ".join),
     ))
+    suffix_a, suffix_b = draw(st.sampled_from(REPEATS))
+    text_a, text_b = text_a + suffix_a, text_b + suffix_b
     return (text_a, text_b) if draw(st.booleans()) else (text_b, text_a)
 
 
-def has_collision(provider: HashEmbeddingProvider, text: str) -> bool:
+def repeats(provider: HashEmbeddingProvider, text: str) -> int:
+    """How many of the text's token indices repeat an earlier one."""
     indices = provider._indices(text)
-    return len(set(indices)) < len(indices)
+    return len(indices) - len(set(indices))
+
+
+def branch(provider: HashEmbeddingProvider, text_a: str, text_b: str) -> str:
+    """The branch of _similarities that scores the pair."""
+    most = max(repeats(provider, text_a), repeats(provider, text_b))
+    return "_unit_counts" if most >= 2 else "one repeat per text" if most else "no repeat"
 
 
 def test_pair_path_is_bit_equal_to_the_cosine_of_the_embeddings():
@@ -283,12 +295,30 @@ def test_pair_path_is_bit_equal_to_the_cosine_of_the_embeddings():
         provider = HashEmbeddingProvider(dimension)
         assert [reference.exact(sim) for sim in provider._similarities(texts)] == expected
         for (text_a, text_b), sim in zip(texts, expected):
-            collision = has_collision(provider, text_a) or has_collision(provider, text_b)
-            reached.add((collision, sim == reference.exact(1.0)))
+            reached.add((branch(provider, text_a, text_b), sim == reference.exact(1.0)))
 
     check()
-    # both branches, each with equal and with unequal vectors
-    assert reached == {(False, False), (False, True), (True, False), (True, True)}
+    # every branch, each with equal and with unequal vectors
+    assert reached == {(name, equal) for name in ("no repeat", "one repeat per text", "_unit_counts")
+                       for equal in (False, True)}
+
+
+def test_only_texts_with_two_or_more_repeats_are_scored_through_unit_counts(monkeypatch):
+    pairs = [(line["text_a"], line["text_b"])
+             for line in map(json.loads, many_pairs_trace().splitlines())]
+    pairs += [("a b", "b c"), ("a a b", "b c"), ("a a b", "b b c"), ("a a b", "A b A"),
+              ("a a b", "c d"), ("a a b b", "a b"), ("a a a", "a")]
+    provider = HashEmbeddingProvider()
+    scored = []
+    unit_counts = HashEmbeddingProvider._unit_counts
+    monkeypatch.setattr(HashEmbeddingProvider, "_unit_counts",
+                        staticmethod(lambda indices: scored.append(indices) or unit_counts(indices)))
+    provider._similarities(pairs)
+    branches = [branch(provider, text_a, text_b) for text_a, text_b in pairs]
+    assert {name: branches.count(name) for name in set(branches)} == \
+        {"no repeat": 1584, "one repeat per text": 310, "_unit_counts": 113}
+    assert scored == [provider._indices(text) for (text_a, text_b), name in zip(pairs, branches)
+                      if name == "_unit_counts" for text in (text_a, text_b)]
 
 
 def test_equal_texts_score_exactly_one_without_an_identity_check():
@@ -297,13 +327,22 @@ def test_equal_texts_score_exactly_one_without_an_identity_check():
     pairs = []
     for n in range(1, len(tokens) + 1):
         text = " ".join(tokens[:n])
-        assert not has_collision(provider, text)
-        pairs += [(text, text.upper()), (f"{text} t0 t0", f"T0 T0 {text}")]  # counts 3 and 1
+        assert repeats(provider, text) == 0 and repeats(provider, f"{text} t0") == 1
+        pairs += [(text, text.upper()),
+                  (f"{text} t0", f"T0 {text}"),  # n + 1 tokens, one twice: squares sum to n + 3
+                  (f"{text} t0 t0", f"T0 T0 {text}")]  # counts 3 and 1
     assert provider._similarities(pairs) == [1.0] * len(pairs)
 
 
 class EmbedPath(HashEmbeddingProvider):
     """A subclass, so consistency_score scores its pairs through embed and the cosine."""
+
+
+@pytest.mark.parametrize("provider", [PROVIDER, EmbedPath()])
+def test_no_pairs_is_an_undefined_statistic(provider):
+    with pytest.raises(UndefinedStatisticError) as info:
+        consistency_score([], provider, CFG)
+    assert str(info.value) == "consistency evaluation needs >= 1 request pair, got 0"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
